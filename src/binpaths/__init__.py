@@ -13,6 +13,7 @@ from .errors import (
     InvalidWorkerCount,
     LengthMismatch,
     NonConstantProbs,
+    NonFiniteValue,
     PathDependentPayoff,
     PricingError,
     ProbabilityOutOfRange,
@@ -75,6 +76,7 @@ __all__ = [
     "MarketInputs",
     "McConfig",
     "NonConstantProbs",
+    "NonFiniteValue",
     "PathDependentPayoff",
     "PathPartition",
     "PayoffKind",

@@ -164,7 +164,7 @@ def _positive(args, names) -> str:
 
 def _print_report(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report))
+        print(json.dumps(report, allow_nan=False))
     elif fmt == "csv":
         print(",".join(report.keys()))
         print(",".join(str(v) for v in report.values()))

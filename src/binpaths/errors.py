@@ -39,3 +39,7 @@ class InfeasibleAllocation(PricingError):
 
 class EnumerationGuard(PricingError):
     """Refusing to enumerate 2^N paths without an explicit override."""
+
+
+class NonFiniteValue(PricingError):
+    """A move size or a valuation leaves the range of double precision."""

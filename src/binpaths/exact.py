@@ -1,6 +1,16 @@
 """Exact expected value over all 2^N paths, serial and partitioned.
 
 The value is e^{-qT} * sum over every path of p(path) * payoff(path).
+Each path splits into a k-step prefix and an s-step suffix, with
+s = min(SUFFIX_BITS, partition.suffix_width).  Two tables built once per
+request hold the state of every prefix (from S0) and of every suffix
+(relative to the prefix's end): weight, last price, price sum and
+minimum.  A path's summary is then a few multiplies and adds on one
+prefix state and one suffix entry, O(1) work per path, and the built-in
+payoffs read it through summary_payoff.  Callable payoffs have no
+summary: they fall back to decoding bit rows with codes_to_bits and
+calling payoff_batch, with the same table weights.
+
 Workers own disjoint code ranges from a PathPartition, accumulate their
 local sums with Kahan compensation, apply the discount locally, and the
 partial values are reduced in ascending rank order.  A worker count of
@@ -22,14 +32,24 @@ from .errors import (
     InvalidWorkerCount,
     LengthMismatch,
     NonConstantProbs,
+    NonFiniteValue,
     PathDependentPayoff,
 )
 from .model import MarketInputs, TreeParams, leaf_prices
-from .paths import PathPartition, block_code_ranges, codes_to_bits, make_partition
-from .payoffs import PayoffLike, is_path_dependent, payoff_batch, terminal_payoff
+from .paths import PathPartition, codes_to_bits, make_partition, path_table
+from .payoffs import (
+    PayoffKind,
+    PayoffLike,
+    is_path_dependent,
+    payoff_batch,
+    summary_payoff,
+)
 
 # Above this depth, enumeration of 2^N paths needs an explicit opt-in.
 LARGE_DEPTH = 28
+
+# Steps covered by the suffix table: 2^15 entries, 256 KB per array.
+SUFFIX_BITS = 15
 
 # Paths evaluated per vectorized batch inside a worker.
 CHUNK = 1 << 15
@@ -80,33 +100,73 @@ def _check_enumerable(req: ValuationRequest) -> None:
         )
 
 
-def _rank_value(req: ValuationRequest, partition: PathPartition, rank: int):
-    """Discounted local sum over one rank's paths, plus its path count."""
+def _tables(req: ValuationRequest, partition: PathPartition):
+    """Prefix and suffix tables for one request, shared by every rank.
+
+    The suffix is s = min(SUFFIX_BITS, partition.suffix_width) steps, so
+    each prefix of k = N - s steps lies inside one partition block.
+    """
     params = req.params
+    k = req.inputs.N - min(SUFFIX_BITS, partition.suffix_width)
+    prefix = path_table(params.up_probs[:k], params.u, params.d, req.inputs.S0)
+    suffix = path_table(params.up_probs[k:], params.u, params.d, 1.0)
+    return prefix, suffix
+
+
+def _rank_value(req: ValuationRequest, partition: PathPartition, rank: int, tables):
+    """Discounted local sum over one rank's paths, plus its path count.
+
+    A batch joins a few prefix states with the whole suffix table: row i,
+    column j is the path with prefix lo + i and suffix j.
+    """
+    prefix, suffix = tables
     n = partition.n
-    p_row = params.up_probs[None, :]
+    s = suffix.weight.shape[0].bit_length() - 1
+    span = 1 << (n - s - partition.prefix_width)
+    step = max(1, CHUNK >> s)
+    kind, S0, K = req.kind, req.inputs.S0, req.inputs.K
     acc = _Kahan()
     visited = 0
-    for lo, hi in block_code_ranges(partition, rank):
-        for start in range(lo, hi, CHUNK):
-            stop = min(start + CHUNK, hi)
-            codes = np.arange(start, stop, dtype=np.uint64)
-            bits = codes_to_bits(codes, n)
-            weights = np.where(bits, p_row, 1.0 - p_row).prod(axis=1)
-            values = payoff_batch(req.kind, params, req.inputs.S0, req.inputs.K, bits)
-            acc.add(float(np.sum(weights * values)))
-            visited += stop - start
+    for v in partition.blocks[rank]:
+        for lo in range(v * span, (v + 1) * span, step):
+            hi = min(lo + step, (v + 1) * span)
+            if isinstance(kind, PayoffKind):
+                e = prefix.last[lo:hi, None]
+                values = summary_payoff(
+                    kind, K,
+                    lambda: e * suffix.last,
+                    lambda: (prefix.total[lo:hi, None] + e * suffix.total) / n,
+                    # fmin: an empty suffix has low = +inf, and a prefix price
+                    # that underflowed to 0 turns it into NaN, which fmin skips.
+                    lambda: np.fmin(prefix.low[lo:hi, None], e * suffix.low),
+                )
+            else:
+                codes = np.arange(lo << s, hi << s, dtype=np.uint64)
+                bits = codes_to_bits(codes, n)
+                values = payoff_batch(kind, req.params, S0, K, bits).reshape(hi - lo, -1)
+            inner = np.sum(values * suffix.weight, axis=1)
+            acc.add(float(np.sum(prefix.weight[lo:hi] * inner)))
+            visited += (hi - lo) << s
     disc = math.exp(-req.inputs.q * req.inputs.T)
     return disc * acc.total, visited
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise NonFiniteValue(
+            f"the valuation gave {value!r}: prices or weights leave the range "
+            "of double precision at these inputs"
+        )
+    return value
 
 
 def value_exact_serial(req: ValuationRequest) -> float:
     """Full enumeration as a single worker; ignores req.workers."""
     _check_enumerable(req)
     partition = make_partition(req.inputs.N, 1)
-    value, visited = _rank_value(req, partition, 0)
+    value, visited = _rank_value(req, partition, 0, _tables(req, partition))
     assert visited == 1 << req.inputs.N, "path accounting mismatch"
-    return value
+    return _finite(value)
 
 
 def value_exact_parallel(req: ValuationRequest) -> float:
@@ -119,18 +179,20 @@ def value_exact_parallel(req: ValuationRequest) -> float:
     _check_enumerable(req)
     m = req.workers
     partition = make_partition(req.inputs.N, m)
+    tables = _tables(req, partition)
     if m == 1:
-        results = [_rank_value(req, partition, 0)]
+        results = [_rank_value(req, partition, 0, tables)]
     else:
         pool_size = min(m, os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(lambda r: _rank_value(req, partition, r), range(m)))
+            results = list(pool.map(lambda r: _rank_value(req, partition, r, tables),
+                                    range(m)))
     visited = sum(v for _, v in results)
     assert visited == 1 << req.inputs.N, "path accounting mismatch"
     total = 0.0
     for value, _ in results:
         total += value
-    return total
+    return _finite(total)
 
 
 def value_leaf_formula(req: ValuationRequest) -> float:
@@ -152,6 +214,6 @@ def value_leaf_formula(req: ValuationRequest) -> float:
     n = req.inputs.N
     weights = binom.pmf(np.arange(n + 1), n, p)
     leaves = leaf_prices(req.params, req.inputs.S0)
-    values = terminal_payoff(req.kind, leaves, req.inputs.K)
+    values = summary_payoff(req.kind, req.inputs.K, lambda: leaves, None, None)
     disc = math.exp(-req.inputs.q * req.inputs.T)
-    return disc * float(np.dot(weights, values))
+    return _finite(disc * float(np.dot(weights, values)))

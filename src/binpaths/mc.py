@@ -32,7 +32,13 @@ import numpy as np
 
 from .errors import InfeasibleAllocation, InvalidInput, InvalidWorkerCount
 from .exact import ValuationRequest
-from .paths import BernoulliPath, PathPartition, block_probability, make_partition
+from .paths import (
+    BernoulliPath,
+    PathPartition,
+    block_probabilities,
+    block_probability,  # noqa: F401  the benchmark's tracer wraps mc.block_probability
+    make_partition,
+)
 from .payoffs import payoff_batch
 
 
@@ -167,7 +173,11 @@ def allocate_strata(partition: PathPartition, params, R: int) -> list:
     positive stratum empty.  Ties break toward the lower rank so the
     result is deterministic.
     """
-    masses = [block_probability(params, partition, m) for m in range(partition.m)]
+    return _allocate(block_probabilities(params, partition), R)
+
+
+def _allocate(masses: list, R: int) -> list:
+    count = len(masses)
     positive = [m for m, mass in enumerate(masses) if mass > 0.0]
     if R < len(positive):
         raise InfeasibleAllocation(
@@ -176,9 +186,7 @@ def allocate_strata(partition: PathPartition, params, R: int) -> list:
     targets = [R * mass for mass in masses]
     alloc = [int(math.floor(t)) for t in targets]
     remainder = R - sum(alloc)
-    by_fraction = sorted(
-        range(partition.m), key=lambda m: (-(targets[m] - alloc[m]), m)
-    )
+    by_fraction = sorted(range(count), key=lambda m: (-(targets[m] - alloc[m]), m))
     for m in by_fraction[:remainder]:
         alloc[m] += 1
     def spare(m: int) -> int:
@@ -188,7 +196,7 @@ def allocate_strata(partition: PathPartition, params, R: int) -> list:
         starved = [m for m in positive if alloc[m] == 0]
         if not starved:
             break
-        donor = max(range(partition.m), key=lambda m: (spare(m), -m))
+        donor = max(range(count), key=lambda m: (spare(m), -m))
         alloc[donor] -= 1
         alloc[starved[0]] += 1
     return alloc
@@ -213,7 +221,7 @@ def _stratum_stats(req: ValuationRequest, partition, rank: int, draws: int,
     return theta_m, sse_m
 
 
-def _finish_partitioned(req, cfg, masses, alloc, stats, var_theta) -> Estimate:
+def _finish_partitioned(req, cfg, masses, alloc, stats, var_theta, method) -> Estimate:
     thetas = np.array([t for t, _ in stats])
     theta_s = float(np.sum(thetas * np.asarray(masses)))
     disc = _discount(req)
@@ -223,7 +231,7 @@ def _finish_partitioned(req, cfg, masses, alloc, stats, var_theta) -> Estimate:
         variance=variance,
         std_error=math.sqrt(variance),
         R_used=sum(alloc),
-        method="partitioned",
+        method=method,
         seed=cfg.seed,
         per_stratum=tuple(
             (m, alloc[m], stats[m][0]) for m in range(len(alloc))
@@ -245,8 +253,8 @@ def estimate_partitioned(req: ValuationRequest, cfg: McConfig, rep: int = 0,
             f"partitioned estimator needs R >= M, got R={cfg.R}, M={cfg.M}"
         )
     partition = _stratified_partition(req, cfg.M)
-    masses = [block_probability(req.params, partition, m) for m in range(cfg.M)]
-    alloc = allocate_strata(partition, req.params, cfg.R)
+    masses = block_probabilities(req.params, partition)
+    alloc = _allocate(masses, cfg.R)
     stats = _map_strata(
         lambda m: _stratum_stats(req, partition, m, alloc[m], cfg.seed, rep),
         cfg.M,
@@ -254,7 +262,7 @@ def estimate_partitioned(req: ValuationRequest, cfg: McConfig, rep: int = 0,
     )
     sse_total = float(np.sum(np.array([s for _, s in stats])))
     var_theta = sse_total / (cfg.R * cfg.R)
-    return _finish_partitioned(req, cfg, masses, alloc, stats, var_theta)
+    return _finish_partitioned(req, cfg, masses, alloc, stats, var_theta, "partitioned")
 
 
 def estimate_partitioned_equal(req: ValuationRequest, cfg: McConfig, rep: int = 0,
@@ -271,7 +279,7 @@ def estimate_partitioned_equal(req: ValuationRequest, cfg: McConfig, rep: int = 
     basic estimator at M = 1.
     """
     partition = _stratified_partition(req, cfg.M)
-    masses = [block_probability(req.params, partition, m) for m in range(cfg.M)]
+    masses = block_probabilities(req.params, partition)
     alloc = [cfg.R] * cfg.M
     stats = _map_strata(
         lambda m: _stratum_stats(req, partition, m, alloc[m], cfg.seed, rep),
@@ -281,7 +289,8 @@ def estimate_partitioned_equal(req: ValuationRequest, cfg: McConfig, rep: int = 
     weights = np.asarray(masses)
     sses = np.array([s for _, s in stats])
     var_theta = float(np.sum(weights * weights * sses / (cfg.R * cfg.R)))
-    return _finish_partitioned(req, cfg, masses, alloc, stats, var_theta)
+    return _finish_partitioned(req, cfg, masses, alloc, stats, var_theta,
+                               "partitioned-equal")
 
 
 def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
@@ -298,9 +307,7 @@ def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
     params = req.params
     r = partition.prefix_width
     n = partition.n
-    masses = np.array(
-        [block_probability(params, partition, m) for m in range(cfg.M)]
-    )
+    masses = np.array(block_probabilities(params, partition))
     rng = mc_stream(cfg.seed, 0, rep)
     suffix = sample_bits(rng, params.up_probs[r:], cfg.R)
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, LengthMismatch, ProbabilityOutOfRange
+from .errors import InvalidInput, LengthMismatch, NonFiniteValue, ProbabilityOutOfRange
 
 if TYPE_CHECKING:
     from .paths import BernoulliPath
@@ -131,9 +131,15 @@ def derive_crr(inputs: MarketInputs) -> TreeParams:
         probs = np.full(inputs.N, 1.0)
         return TreeParams(dt=dt, u=u, d=1.0 / u, beta=beta, up_probs=probs)
 
-    beta = 0.5 * (
-        math.exp(-inputs.q * dt) + math.exp((inputs.q + inputs.sigma**2) * dt)
-    )
+    try:
+        beta = 0.5 * (
+            math.exp(-inputs.q * dt) + math.exp((inputs.q + inputs.sigma**2) * dt)
+        )
+    except OverflowError:
+        raise NonFiniteValue(
+            f"the move size exp((q + sigma^2) * T / N) overflows at q={inputs.q}, "
+            f"sigma={inputs.sigma}, T/N={dt}"
+        ) from None
     u = beta + math.sqrt(beta * beta - 1.0)
     d = 1.0 / u
     if not u > d:

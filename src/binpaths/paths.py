@@ -1,4 +1,4 @@
-"""Path encoding and the work partition over all 2^N paths.
+"""Path encoding, the work partition over all 2^N paths, and word tables.
 
 A path through an N-step tree is a word of N Bernoulli outcomes, stored
 as the integer whose binary expansion, read from the most significant of
@@ -15,7 +15,7 @@ the partition below hands to each worker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,15 +68,6 @@ def path_probability(params: "TreeParams", path: BernoulliPath) -> float:
     for t, b in enumerate(path.bits()):
         p = float(params.up_probs[t])
         prob *= p if b else 1.0 - p
-    return prob
-
-
-def _prefix_probability(params: "TreeParams", value: int, width: int) -> float:
-    prob = 1.0
-    for t in range(width):
-        bit = (value >> (width - 1 - t)) & 1
-        p = float(params.up_probs[t])
-        prob *= p if bit else 1.0 - p
     return prob
 
 
@@ -152,19 +143,60 @@ def iter_block(partition: PathPartition, rank: int) -> Iterator[BernoulliPath]:
             yield BernoulliPath(code=code, n=partition.n)
 
 
-def block_probability(params: "TreeParams", partition: PathPartition, rank: int) -> float:
-    """Total probability mass of the rank's paths.
+def block_probabilities(params: "TreeParams", partition: PathPartition) -> list:
+    """Total probability mass of every rank's paths, in rank order.
 
-    Suffix bits always sum out to one, so the mass is the sum of the
-    owned prefix probabilities regardless of suffix width.
+    Suffix bits always sum out to one, so a rank's mass is the sum of
+    its owned prefix weights, read from one prefix-weight table.
     """
-    _check_rank(partition, rank)
     if partition.n != params.n_steps:
         raise LengthMismatch(
             f"partition is over {partition.n}-step paths, tree has {params.n_steps}"
         )
-    width = partition.prefix_width
-    return sum(_prefix_probability(params, v, width) for v in partition.blocks[rank])
+    probs = params.up_probs[: partition.prefix_width]
+    weight = path_table(probs, params.u, params.d, 1.0).weight.tolist()
+    return [sum(weight[v] for v in blocks) for blocks in partition.blocks]
+
+
+def block_probability(params: "TreeParams", partition: PathPartition, rank: int) -> float:
+    """Total probability mass of one rank's paths."""
+    _check_rank(partition, rank)
+    return block_probabilities(params, partition)[rank]
+
+
+class PathTable(NamedTuple):
+    """State after every j-step word, indexed by the word's code.
+
+    weight is the word's probability.  last, total and low are the final
+    price, the sum of the prices after each step, and their minimum
+    (+inf for the empty word), all scaled from the start price.
+    """
+
+    weight: np.ndarray
+    last: np.ndarray
+    total: np.ndarray
+    low: np.ndarray
+
+
+def path_table(probs: np.ndarray, u: float, d: float, start: float) -> PathTable:
+    """Tables of all 2^len(probs) words, built by doubling one step at a time.
+
+    Word c of width j extends to 2c (a down move) and 2c + 1 (an up
+    move), so each step costs O(2^j) and the whole build O(2^len(probs)).
+    A weight is the product of its step probabilities from step 1 on,
+    the same order of rounding as path_probability.
+    """
+    weight = np.ones(1)
+    last = np.full(1, float(start))
+    total = np.zeros(1)
+    low = np.full(1, np.inf)
+    for p in probs:
+        weight = np.stack((weight * (1.0 - p), weight * p), axis=1).ravel()
+        moved = np.stack((last * d, last * u), axis=1)
+        total = (total[:, None] + moved).ravel()
+        low = np.minimum(low[:, None], moved).ravel()
+        last = moved.ravel()
+    return PathTable(weight, last, total, low)
 
 
 def codes_to_bits(codes: np.ndarray, n: int) -> np.ndarray:

@@ -53,14 +53,22 @@ def is_path_dependent(kind: PayoffLike) -> bool:
     return True
 
 
-def terminal_payoff(kind: PayoffKind, terminal_prices: np.ndarray, K: float) -> np.ndarray:
-    """European payoff on an array of terminal prices."""
-    s = np.asarray(terminal_prices, dtype=np.float64)
+def summary_payoff(kind: PayoffKind, K: float, last: Callable, mean: Callable,
+                   low: Callable) -> np.ndarray:
+    """Built-in payoff from a path summary: the one kind dispatch.
+
+    last, mean and low return S_N, the average of S_1..S_N and their
+    minimum.  Each kind reads one of them, so only that one is computed.
+    """
     if kind is PayoffKind.EUROPEAN_CALL:
-        return np.maximum(s - K, 0.0)
+        return np.maximum(last() - K, 0.0)
     if kind is PayoffKind.EUROPEAN_PUT:
-        return np.maximum(K - s, 0.0)
-    raise InvalidInput(f"{kind} is not a terminal-price payoff")
+        return np.maximum(K - last(), 0.0)
+    if kind is PayoffKind.ASIAN_PUT:
+        return np.maximum(K - mean(), 0.0)
+    if kind is PayoffKind.FIXED_LOOKBACK_PUT:
+        return np.maximum(K - low(), 0.0)
+    raise InvalidInput(f"unhandled payoff kind {kind!r}")
 
 
 def payoff(kind: PayoffLike, params: "TreeParams", S0: float, K: float,
@@ -69,15 +77,7 @@ def payoff(kind: PayoffLike, params: "TreeParams", S0: float, K: float,
     if not isinstance(kind, PayoffKind):
         return float(kind(params, S0, K, path))
     prices = asset_path(params, S0, path)
-    if kind is PayoffKind.EUROPEAN_CALL:
-        return float(max(prices[-1] - K, 0.0))
-    if kind is PayoffKind.EUROPEAN_PUT:
-        return float(max(K - prices[-1], 0.0))
-    if kind is PayoffKind.ASIAN_PUT:
-        return float(max(K - prices.mean(), 0.0))
-    if kind is PayoffKind.FIXED_LOOKBACK_PUT:
-        return float(max(K - prices.min(), 0.0))
-    raise InvalidInput(f"unhandled payoff kind {kind!r}")
+    return float(summary_payoff(kind, K, lambda: prices[-1], prices.mean, prices.min))
 
 
 def payoff_batch(kind: PayoffLike, params: "TreeParams", S0: float, K: float,
@@ -102,12 +102,5 @@ def payoff_batch(kind: PayoffLike, params: "TreeParams", S0: float, K: float,
 
     factors = np.where(bits, params.u, params.d)
     prices = S0 * np.cumprod(factors, axis=1)
-    if kind is PayoffKind.EUROPEAN_CALL:
-        return np.maximum(prices[:, -1] - K, 0.0)
-    if kind is PayoffKind.EUROPEAN_PUT:
-        return np.maximum(K - prices[:, -1], 0.0)
-    if kind is PayoffKind.ASIAN_PUT:
-        return np.maximum(K - prices.mean(axis=1), 0.0)
-    if kind is PayoffKind.FIXED_LOOKBACK_PUT:
-        return np.maximum(K - prices.min(axis=1), 0.0)
-    raise InvalidInput(f"unhandled payoff kind {kind!r}")
+    return summary_payoff(kind, K, lambda: prices[:, -1],
+                          lambda: prices.mean(axis=1), lambda: prices.min(axis=1))

@@ -158,6 +158,21 @@ def test_domain_errors_exit_three(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("method, n, extra", [
+    ("leaf", "20", ()),
+    ("exact", "20", ()),
+    ("mc", "2", ("--samples", "64")),  # exp(sigma^2 * T / N) overflows
+])
+def test_non_finite_results_exit_three(capsys, method, n, extra):
+    code, out, err = run_cli(
+        capsys, "price", "--method", method, "--payoff", "euro-call", "--S0", "1",
+        "--K", "1", "--q", "0", "--sigma", "40", "--T", "1", "--N", n, *extra,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_negative_seed_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "price", "--method", "mc", "--N", "12", "--samples", "64",

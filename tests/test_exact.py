@@ -9,10 +9,12 @@ from binpaths import (
     LengthMismatch,
     MarketInputs,
     NonConstantProbs,
+    NonFiniteValue,
     PathDependentPayoff,
     PayoffKind,
     TreeParams,
     ValuationRequest,
+    asset_path,
     derive_crr,
     make_partition,
     block_code_ranges,
@@ -206,3 +208,42 @@ def test_callable_payoff_through_engine():
     assert value_exact_parallel(
         ValuationRequest(inputs=TOY_INPUTS, params=TOY_PARAMS, kind=euro_put_clone, workers=2)
     ) == pytest.approx(1.5, abs=1e-12)
+
+
+def test_tracing_hooks_resolve_and_callable_matches_builtin_twin(monkeypatch):
+    # The benchmark's traced run patches these two names on binpaths.exact.
+    from binpaths import exact
+
+    calls = {"codes_to_bits": 0, "payoff_batch": 0}
+    for name in calls:
+        fn = getattr(exact, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(exact, name, counted)
+
+    def asian_put_clone(params, S0, K, path):
+        return float(max(K - asset_path(params, S0, path).mean(), 0.0))
+
+    inputs = MarketInputs(S0=5.0, K=10.0, q=0.06, sigma=0.30, T=1.0, N=10)
+    params = derive_crr(inputs)
+    for workers in (1, 3, 4):
+        twin = value_exact_parallel(ValuationRequest(
+            inputs=inputs, params=params, kind=PayoffKind.ASIAN_PUT, workers=workers))
+        got = value_exact_parallel(ValuationRequest(
+            inputs=inputs, params=params, kind=asian_put_clone, workers=workers))
+        assert got == pytest.approx(twin, rel=1e-12)
+    assert calls["codes_to_bits"] > 0 and calls["payoff_batch"] > 0
+
+
+def test_non_finite_value_is_a_domain_error():
+    # u^20 overflows while the weight of that path underflows: inf * 0.
+    inputs = MarketInputs(S0=1.0, K=1.0, q=0.0, sigma=40.0, T=1.0, N=20)
+    req = ValuationRequest(inputs=inputs, params=derive_crr(inputs),
+                           kind=PayoffKind.EUROPEAN_CALL)
+    with np.errstate(all="ignore"):
+        for engine in (value_exact_serial, value_exact_parallel, value_leaf_formula):
+            with pytest.raises(NonFiniteValue):
+                engine(req)

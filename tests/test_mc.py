@@ -254,6 +254,8 @@ def test_equal_allocation_uses_r_per_stratum():
     est = estimate_partitioned_equal(_desk_req(), McConfig(R=100, M=8, seed=2))
     assert [d for _, d, _ in est.per_stratum] == [100] * 8
     assert est.R_used == 800
+    assert est.method == "partitioned-equal"
+    assert estimate_partitioned(_desk_req(), McConfig(R=100, M=8, seed=2)).method == "partitioned"
 
 
 def test_value_is_discounted_stratum_mixture():

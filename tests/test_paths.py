@@ -16,7 +16,7 @@ from binpaths import (
     path_probability,
     with_custom_probs,
 )
-from binpaths.paths import codes_to_bits
+from binpaths.paths import block_probabilities, codes_to_bits
 
 from oracles import brute_code, brute_paths, brute_prob
 
@@ -178,6 +178,21 @@ def test_block_probabilities_sum_to_one(m):
     part = make_partition(16, m)
     total = sum(block_probability(params, part, rank) for rank in range(m))
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 64, 1024])
+def test_block_probabilities_are_prefix_products_bit_for_bit(m):
+    inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=16)
+    rng = np.random.default_rng(m)
+    part = make_partition(16, m)
+    width = part.prefix_width
+    for params in (derive_crr(inputs), with_custom_probs(inputs, rng.uniform(0.05, 0.95, 16))):
+        want = [
+            brute_prob(params.up_probs[:width], [(r >> (width - 1 - t)) & 1 for t in range(width)])
+            for r in range(m)
+        ]
+        assert block_probabilities(params, part) == want
+        assert block_probability(params, part, m - 1) == want[-1]
 
 
 def test_codes_to_bits_matches_scalar_decoding():
