@@ -1,5 +1,12 @@
 """Exception types raised by the valuation engines."""
 
+import numpy as np
+
+# Prices can overflow to inf and meet weights that underflowed to 0; every
+# engine raises NonFiniteValue on such a result, so NumPy's warnings on the
+# way are noise.  A decorator: an errstate does not reach other threads.
+quiet_non_finite = np.errstate(over="ignore", invalid="ignore")
+
 
 class PricingError(Exception):
     """Base class for every error this package raises on purpose."""

@@ -5,16 +5,16 @@ Each path splits into a k-step prefix and an s-step suffix, with
 s = min(SUFFIX_BITS, partition.suffix_width).  Two tables built once per
 request hold the state of every prefix (from S0) and of every suffix
 (relative to the prefix's end): weight, last price, price sum and
-minimum.  A path's summary is then a few multiplies and adds on one
-prefix state and one suffix entry, O(1) work per path, and the built-in
-payoffs read it through summary_payoff.  Callable payoffs have no
-summary: they fall back to decoding bit rows with codes_to_bits and
-calling payoff_batch, with the same table weights.
+minimum.  join_payoff, the path kernel the Monte Carlo estimators share,
+extends a prefix state by a suffix entry in a few multiplies and adds,
+O(1) work per path.  Callable payoffs have no summary: they fall back
+to decoding bit rows with codes_to_bits and calling payoff_batch, with
+the same table weights.
 
 Workers own disjoint code ranges from a PathPartition, accumulate their
 local sums with Kahan compensation, apply the discount locally, and the
-partial values are reduced in ascending rank order.  A worker count of
-one therefore reproduces the serial engine bit for bit.
+partial values are reduced in ascending rank order.  The serial engine
+is the partitioned one with a single worker.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import binom
@@ -34,15 +34,16 @@ from .errors import (
     NonConstantProbs,
     NonFiniteValue,
     PathDependentPayoff,
+    quiet_non_finite,
 )
 from .model import MarketInputs, TreeParams, leaf_prices
-from .paths import PathPartition, codes_to_bits, make_partition, path_table
+from .paths import PathPartition, PathTable, codes_to_bits, make_partition, path_table
 from .payoffs import (
     PayoffKind,
     PayoffLike,
     is_path_dependent,
+    join_payoff,
     payoff_batch,
-    summary_payoff,
 )
 
 # Above this depth, enumeration of 2^N paths needs an explicit opt-in.
@@ -92,14 +93,6 @@ class _Kahan:
         self.total = t
 
 
-def _check_enumerable(req: ValuationRequest) -> None:
-    if req.inputs.N > LARGE_DEPTH and not req.force_large:
-        raise EnumerationGuard(
-            f"N={req.inputs.N} means 2^{req.inputs.N} paths; pass the force-large "
-            f"override to enumerate beyond N={LARGE_DEPTH}"
-        )
-
-
 def _tables(req: ValuationRequest, partition: PathPartition):
     """Prefix and suffix tables for one request, shared by every rank.
 
@@ -131,15 +124,7 @@ def _rank_value(req: ValuationRequest, partition: PathPartition, rank: int, tabl
         for lo in range(v * span, (v + 1) * span, step):
             hi = min(lo + step, (v + 1) * span)
             if isinstance(kind, PayoffKind):
-                e = prefix.last[lo:hi, None]
-                values = summary_payoff(
-                    kind, K,
-                    lambda: e * suffix.last,
-                    lambda: (prefix.total[lo:hi, None] + e * suffix.total) / n,
-                    # fmin: an empty suffix has low = +inf, and a prefix price
-                    # that underflowed to 0 turns it into NaN, which fmin skips.
-                    lambda: np.fmin(prefix.low[lo:hi, None], e * suffix.low),
-                )
+                values = join_payoff(kind, K, n, prefix.rows(lo, hi), suffix)
             else:
                 codes = np.arange(lo << s, hi << s, dtype=np.uint64)
                 bits = codes_to_bits(codes, n)
@@ -149,6 +134,14 @@ def _rank_value(req: ValuationRequest, partition: PathPartition, rank: int, tabl
             visited += (hi - lo) << s
     disc = math.exp(-req.inputs.q * req.inputs.T)
     return disc * acc.total, visited
+
+
+def _map_in_order(fn, count: int, threads: int) -> list:
+    """[fn(i) for i in range(count)], spread over up to `threads` pool threads."""
+    if threads <= 1 or count <= 1:
+        return [fn(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=min(threads, count)) as pool:
+        return list(pool.map(quiet_non_finite(fn), range(count)))
 
 
 def _finite(value: float) -> float:
@@ -162,31 +155,26 @@ def _finite(value: float) -> float:
 
 def value_exact_serial(req: ValuationRequest) -> float:
     """Full enumeration as a single worker; ignores req.workers."""
-    _check_enumerable(req)
-    partition = make_partition(req.inputs.N, 1)
-    value, visited = _rank_value(req, partition, 0, _tables(req, partition))
-    assert visited == 1 << req.inputs.N, "path accounting mismatch"
-    return _finite(value)
+    return value_exact_parallel(replace(req, workers=1))
 
 
+@quiet_non_finite
 def value_exact_parallel(req: ValuationRequest) -> float:
     """Partitioned enumeration over req.workers ranks.
 
     Rank results are reduced in ascending order, so the output depends
-    on the worker count M but not on thread scheduling.  M=1 matches
-    value_exact_serial bit for bit.
+    on the worker count M but not on thread scheduling.
     """
-    _check_enumerable(req)
+    if req.inputs.N > LARGE_DEPTH and not req.force_large:
+        raise EnumerationGuard(
+            f"N={req.inputs.N} means 2^{req.inputs.N} paths; pass the force-large "
+            f"override to enumerate beyond N={LARGE_DEPTH}"
+        )
     m = req.workers
     partition = make_partition(req.inputs.N, m)
     tables = _tables(req, partition)
-    if m == 1:
-        results = [_rank_value(req, partition, 0, tables)]
-    else:
-        pool_size = min(m, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(lambda r: _rank_value(req, partition, r, tables),
-                                    range(m)))
+    results = _map_in_order(lambda r: _rank_value(req, partition, r, tables), m,
+                            os.cpu_count() or 1)
     visited = sum(v for _, v in results)
     assert visited == 1 << req.inputs.N, "path accounting mismatch"
     total = 0.0
@@ -195,6 +183,7 @@ def value_exact_parallel(req: ValuationRequest) -> float:
     return _finite(total)
 
 
+@quiet_non_finite
 def value_leaf_formula(req: ValuationRequest) -> float:
     """Closed-form value from the N+1 leaves, for constant-p European kinds.
 
@@ -213,7 +202,9 @@ def value_leaf_formula(req: ValuationRequest) -> float:
         )
     n = req.inputs.N
     weights = binom.pmf(np.arange(n + 1), n, p)
-    leaves = leaf_prices(req.params, req.inputs.S0)
-    values = summary_payoff(req.kind, req.inputs.K, lambda: leaves, None, None)
+    # Each leaf is the end state of whole paths, extended by the empty
+    # word; a European payoff reads nothing but the last price.
+    leaves = PathTable(weights, leaf_prices(req.params, req.inputs.S0), None, None)
+    values = join_payoff(req.kind, req.inputs.K, n, leaves, path_table((), 1.0, 1.0, 1.0))[:, 0]
     disc = math.exp(-req.inputs.q * req.inputs.T)
     return _finite(disc * float(np.dot(weights, values)))

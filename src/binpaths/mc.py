@@ -10,6 +10,14 @@ r-bit prefix (r = log2 of the stratum count M) and an (N-r)-bit suffix.
 * shared: one set of R suffixes is drawn once and reused by every
   stratum, so each draw yields an inner sum over all M prefixes.
 
+Built-in payoffs go through the exact engine's path kernel, join_payoff.
+One prefix table per call, built from S0 by path_table, holds every
+stratum's mass (its weight) and its state after r steps, and a
+RowSummary of the sampled suffix rows extends that state to whole
+paths.  The basic estimator is the case r = 0, through payoff_batch.
+The shared estimator joins all M prefix rows with its one sample in
+chunks of rows, reduced in chunk order whatever the thread count.
+
 Streams are keyed by (master seed, stratum index, repetition index)
 through a counter-based generator, so results are reproducible and do
 not depend on which thread evaluates which stratum.  With M = 1 all
@@ -18,28 +26,33 @@ bit-for-bit equal to the basic estimator.
 
 Estimates are reported on the value scale: value = e^{-qT} * theta_hat
 and variance = e^{-2qT} * Var_hat(theta_hat).  Per-stratum means stay
-on the theta scale.
+on the theta scale.  All estimators end in one reduction, which raises
+NonFiniteValue when the value or the variance is not finite.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InfeasibleAllocation, InvalidInput, InvalidWorkerCount
-from .exact import ValuationRequest
+from .errors import InfeasibleAllocation, InvalidInput, InvalidWorkerCount, quiet_non_finite
+from .exact import CHUNK, ValuationRequest, _finite, _map_in_order
 from .paths import (
     BernoulliPath,
     PathPartition,
+    PathTable,
+    RowSummary,
     block_probabilities,
     block_probability,  # noqa: F401  the benchmark's tracer wraps mc.block_probability
+    codes_to_bits,
     make_partition,
+    path_table,
 )
-from .payoffs import payoff_batch
+from .payoffs import PayoffKind, join_payoff, payoff_batch
 
 
 @dataclass(frozen=True)
@@ -112,32 +125,58 @@ def sample_path(params, rng: np.random.Generator) -> BernoulliPath:
     return BernoulliPath.from_bits([int(b) for b in bits])
 
 
-def _prefix_bits_row(rank: int, width: int) -> np.ndarray:
-    return np.array(
-        [(rank >> (width - 1 - t)) & 1 for t in range(width)], dtype=bool
-    )
+def _prefix_table(req: ValuationRequest, M: int) -> PathTable:
+    """States of the log2(M)-step prefixes from S0, row m for stratum m.
 
-
-def _stratified_partition(req: ValuationRequest, M: int) -> PathPartition:
+    The weights are the stratum masses, bit for bit block_probability's.
+    """
     if M & (M - 1) != 0:
         raise InvalidWorkerCount(
             f"stratum count must be a power of two, got {M}"
         )
-    return make_partition(req.inputs.N, M)
+    r = make_partition(req.inputs.N, M).prefix_width
+    params = req.params
+    return path_table(params.up_probs[:r], params.u, params.d, req.inputs.S0)
 
 
-def _discount(req: ValuationRequest) -> float:
-    return math.exp(-req.inputs.q * req.inputs.T)
+def _extend(req: ValuationRequest, prefix: PathTable, lo: int, hi: int,
+            suffix: RowSummary) -> np.ndarray:
+    """Payoffs of prefixes lo..hi-1 (rows), each extended by every suffix (columns)."""
+    kind, K = req.kind, req.inputs.K
+    if isinstance(kind, PayoffKind):
+        return join_payoff(kind, K, req.inputs.N, prefix.rows(lo, hi), suffix)
+    # A callable has no summary: it sees whole bit rows.
+    r = prefix.weight.shape[0].bit_length() - 1
+    heads = codes_to_bits(np.arange(lo, hi, dtype=np.uint64), r)
+    bits = np.hstack((np.repeat(heads, len(suffix.bits), axis=0),
+                      np.tile(suffix.bits, (hi - lo, 1))))
+    return payoff_batch(kind, req.params, req.inputs.S0, K, bits).reshape(hi - lo, -1)
 
 
-def _map_strata(fn: Callable, count: int, eval_threads: int) -> list:
-    """Run fn over range(count), optionally on a thread pool, in rank order."""
-    if eval_threads <= 1 or count <= 1:
-        return [fn(m) for m in range(count)]
-    with ThreadPoolExecutor(max_workers=min(eval_threads, count)) as pool:
-        return list(pool.map(fn, range(count)))
+def _mean_sse(values: np.ndarray) -> tuple:
+    """Mean of payoff draws and the sum of their squared deviations."""
+    theta = float(values.mean())
+    return theta, float(np.sum((values - theta) ** 2))
 
 
+def _estimate(req: ValuationRequest, cfg: McConfig, theta: float, var_theta: float,
+              R_used: int, method: str, per_stratum: Optional[tuple] = None) -> Estimate:
+    """The one reduction: discount theta and its variance, guard, standard error."""
+    disc = math.exp(-req.inputs.q * req.inputs.T)
+    value = _finite(disc * theta)
+    variance = _finite(disc * disc * var_theta)
+    return Estimate(
+        value=value,
+        variance=variance,
+        std_error=math.sqrt(variance),
+        R_used=R_used,
+        method=method,
+        seed=cfg.seed,
+        per_stratum=per_stratum,
+    )
+
+
+@quiet_non_finite
 def estimate_basic(req: ValuationRequest, cfg: McConfig, rep: int = 0) -> Estimate:
     """Plain Monte Carlo: R i.i.d. paths, sample mean and its variance.
 
@@ -150,19 +189,8 @@ def estimate_basic(req: ValuationRequest, cfg: McConfig, rep: int = 0) -> Estima
     rng = mc_stream(cfg.seed, 0, rep)
     bits = sample_bits(rng, params.up_probs, cfg.R)
     values = payoff_batch(req.kind, params, req.inputs.S0, req.inputs.K, bits)
-    theta = float(values.mean())
-    sse = float(np.sum((values - theta) ** 2))
-    var_theta = sse / (cfg.R * cfg.R)
-    disc = _discount(req)
-    variance = disc * disc * var_theta
-    return Estimate(
-        value=disc * theta,
-        variance=variance,
-        std_error=math.sqrt(variance),
-        R_used=cfg.R,
-        method="basic",
-        seed=cfg.seed,
-    )
+    theta, sse = _mean_sse(values)
+    return _estimate(req, cfg, theta, sse / (cfg.R * cfg.R), cfg.R, "basic")
 
 
 def allocate_strata(partition: PathPartition, params, R: int) -> list:
@@ -202,43 +230,34 @@ def _allocate(masses: list, R: int) -> list:
     return alloc
 
 
-def _stratum_stats(req: ValuationRequest, partition, rank: int, draws: int,
-                   seed: int, rep: int):
-    """Mean and squared-deviation sum of one stratum's payoff draws."""
-    if draws == 0:
-        return 0.0, 0.0
+def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: int,
+                prefix: PathTable, alloc: list, var_theta: Callable,
+                method: str) -> Estimate:
+    """Stratum m joins prefix row m with alloc[m] suffixes of its own stream.
+
+    var_theta maps the strata's squared-deviation sums to the variance
+    of the combined estimate on the theta scale.
+    """
     params = req.params
-    r = partition.prefix_width
-    n = partition.n
-    rng = mc_stream(seed, rank, rep)
-    suffix = sample_bits(rng, params.up_probs[r:], draws)
-    bits = np.empty((draws, n), dtype=bool)
-    bits[:, :r] = _prefix_bits_row(rank, r)
-    bits[:, r:] = suffix
-    values = payoff_batch(req.kind, params, req.inputs.S0, req.inputs.K, bits)
-    theta_m = float(values.mean())
-    sse_m = float(np.sum((values - theta_m) ** 2))
-    return theta_m, sse_m
+    probs = params.up_probs[cfg.M.bit_length() - 1:]
 
+    def stats(m: int) -> tuple:
+        if alloc[m] == 0:
+            return 0.0, 0.0
+        bits = sample_bits(mc_stream(cfg.seed, m, rep), probs, alloc[m])
+        suffix = RowSummary(bits, params.u, params.d)
+        return _mean_sse(_extend(req, prefix, m, m + 1, suffix)[0])
 
-def _finish_partitioned(req, cfg, masses, alloc, stats, var_theta, method) -> Estimate:
-    thetas = np.array([t for t, _ in stats])
-    theta_s = float(np.sum(thetas * np.asarray(masses)))
-    disc = _discount(req)
-    variance = disc * disc * var_theta
-    return Estimate(
-        value=disc * theta_s,
-        variance=variance,
-        std_error=math.sqrt(variance),
-        R_used=sum(alloc),
-        method=method,
-        seed=cfg.seed,
-        per_stratum=tuple(
-            (m, alloc[m], stats[m][0]) for m in range(len(alloc))
-        ),
+    per = _map_in_order(stats, cfg.M, eval_threads)
+    thetas = np.array([t for t, _ in per])
+    sses = np.array([s for _, s in per])
+    return _estimate(
+        req, cfg, float(np.sum(thetas * prefix.weight)), var_theta(sses), sum(alloc),
+        method, tuple((m, alloc[m], per[m][0]) for m in range(cfg.M)),
     )
 
 
+@quiet_non_finite
 def estimate_partitioned(req: ValuationRequest, cfg: McConfig, rep: int = 0,
                          eval_threads: int = 1) -> Estimate:
     """Stratified MC with draws proportional to stratum probability.
@@ -252,19 +271,14 @@ def estimate_partitioned(req: ValuationRequest, cfg: McConfig, rep: int = 0,
         raise InfeasibleAllocation(
             f"partitioned estimator needs R >= M, got R={cfg.R}, M={cfg.M}"
         )
-    partition = _stratified_partition(req, cfg.M)
-    masses = block_probabilities(req.params, partition)
-    alloc = _allocate(masses, cfg.R)
-    stats = _map_strata(
-        lambda m: _stratum_stats(req, partition, m, alloc[m], cfg.seed, rep),
-        cfg.M,
-        eval_threads,
-    )
-    sse_total = float(np.sum(np.array([s for _, s in stats])))
-    var_theta = sse_total / (cfg.R * cfg.R)
-    return _finish_partitioned(req, cfg, masses, alloc, stats, var_theta, "partitioned")
+    prefix = _prefix_table(req, cfg.M)
+    alloc = _allocate(prefix.weight.tolist(), cfg.R)
+    return _stratified(req, cfg, rep, eval_threads, prefix, alloc,
+                       lambda sses: float(np.sum(sses)) / (cfg.R * cfg.R),
+                       "partitioned")
 
 
+@quiet_non_finite
 def estimate_partitioned_equal(req: ValuationRequest, cfg: McConfig, rep: int = 0,
                                eval_threads: int = 1) -> Estimate:
     """Stratified MC with R draws in every stratum (M*R total).
@@ -278,63 +292,44 @@ def estimate_partitioned_equal(req: ValuationRequest, cfg: McConfig, rep: int = 
     which reduces to the proportional form when R_m/R = P(m) and to the
     basic estimator at M = 1.
     """
-    partition = _stratified_partition(req, cfg.M)
-    masses = block_probabilities(req.params, partition)
-    alloc = [cfg.R] * cfg.M
-    stats = _map_strata(
-        lambda m: _stratum_stats(req, partition, m, alloc[m], cfg.seed, rep),
-        cfg.M,
-        eval_threads,
-    )
-    weights = np.asarray(masses)
-    sses = np.array([s for _, s in stats])
-    var_theta = float(np.sum(weights * weights * sses / (cfg.R * cfg.R)))
-    return _finish_partitioned(req, cfg, masses, alloc, stats, var_theta,
-                               "partitioned-equal")
+    prefix = _prefix_table(req, cfg.M)
+    w = prefix.weight
+    return _stratified(req, cfg, rep, eval_threads, prefix, [cfg.R] * cfg.M,
+                       lambda sses: float(np.sum(w * w * sses / (cfg.R * cfg.R))),
+                       "partitioned-equal")
 
 
+@quiet_non_finite
 def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
                     eval_threads: int = 1) -> Estimate:
     """Shared-sample MC: one suffix sample reused by every stratum.
 
     Draw i contributes the inner sum over all M prefixes weighted by
     stratum probability, so the R inner sums are i.i.d. and their
-    sample variance estimates the estimator variance directly.
+    sample variance estimates the estimator variance directly.  The
+    prefixes are joined with the sample a chunk of rows at a time; the
+    chunk size depends on R alone, so threads change no result.
     """
     if cfg.R < 2:
         raise InvalidInput(f"shared estimator needs R >= 2, got {cfg.R}")
-    partition = _stratified_partition(req, cfg.M)
     params = req.params
-    r = partition.prefix_width
-    n = partition.n
-    masses = np.array(block_probabilities(params, partition))
-    rng = mc_stream(cfg.seed, 0, rep)
-    suffix = sample_bits(rng, params.up_probs[r:], cfg.R)
+    prefix = _prefix_table(req, cfg.M)
+    probs = params.up_probs[cfg.M.bit_length() - 1:]
+    suffix = RowSummary(sample_bits(mc_stream(cfg.seed, 0, rep), probs, cfg.R),
+                        params.u, params.d)
+    step = max(1, CHUNK // cfg.R)
 
-    def eval_stratum(m: int) -> np.ndarray:
-        bits = np.empty((cfg.R, n), dtype=bool)
-        bits[:, :r] = _prefix_bits_row(m, r)
-        bits[:, r:] = suffix
-        return payoff_batch(req.kind, params, req.inputs.S0, req.inputs.K, bits)
+    def chunk(c: int) -> tuple:
+        lo, hi = c * step, min((c + 1) * step, cfg.M)
+        values = _extend(req, prefix, lo, hi, suffix)
+        return np.sum(values * prefix.weight[lo:hi, None], axis=0), values.mean(axis=1)
 
-    per_stratum_values = _map_strata(eval_stratum, cfg.M, eval_threads)
-    stacked = np.stack(per_stratum_values)
-    inner = np.sum(stacked * masses[:, None], axis=0)
-    theta = float(inner.mean())
-    sse = float(np.sum((inner - theta) ** 2))
-    var_theta = sse / (cfg.R * cfg.R)
-    disc = _discount(req)
-    variance = disc * disc * var_theta
-    return Estimate(
-        value=disc * theta,
-        variance=variance,
-        std_error=math.sqrt(variance),
-        R_used=cfg.R,
-        method="shared",
-        seed=cfg.seed,
-        per_stratum=tuple(
-            (m, cfg.R, float(per_stratum_values[m].mean())) for m in range(cfg.M)
-        ),
+    chunks = _map_in_order(chunk, -(-cfg.M // step), eval_threads)
+    theta, sse = _mean_sse(reduce(np.add, (inner for inner, _ in chunks)))
+    means = np.concatenate([m for _, m in chunks])
+    return _estimate(
+        req, cfg, theta, sse / (cfg.R * cfg.R), cfg.R, "shared",
+        tuple((m, cfg.R, float(means[m])) for m in range(cfg.M)),
     )
 
 

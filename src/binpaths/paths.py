@@ -177,6 +177,11 @@ class PathTable(NamedTuple):
     total: np.ndarray
     low: np.ndarray
 
+    def rows(self, lo: int, hi: int) -> "PathTable":
+        """The states of words lo..hi-1, as views."""
+        return PathTable(self.weight[lo:hi], self.last[lo:hi], self.total[lo:hi],
+                         self.low[lo:hi])
+
 
 def path_table(probs: np.ndarray, u: float, d: float, start: float) -> PathTable:
     """Tables of all 2^len(probs) words, built by doubling one step at a time.
@@ -197,6 +202,42 @@ def path_table(probs: np.ndarray, u: float, d: float, start: float) -> PathTable
         low = np.minimum(low[:, None], moved).ravel()
         last = moved.ravel()
     return PathTable(weight, last, total, low)
+
+
+class RowSummary:
+    """PathTable's last, total and low for given bit rows, from price 1.
+
+    The relative prices cumprod(where(bits, u, d)) are built once; each
+    statistic is computed on first use, so a payoff pays only for the one
+    it reads.  Rows with no columns are the empty word: last 1, total 0
+    and low +inf, as in a table of zero steps.
+    """
+
+    def __init__(self, bits: np.ndarray, u: float, d: float):
+        self.bits = bits
+        self.prices = np.cumprod(np.where(bits, u, d), axis=1)
+        self._last = self._total = self._low = None
+
+    # Not functools.cached_property: before Python 3.12 it holds one lock
+    # per class while computing, which queues the pool threads.
+    @property
+    def last(self) -> np.ndarray:
+        if self._last is None:
+            p = self.prices
+            self._last = p[:, -1] if p.shape[1] else np.ones(p.shape[0])
+        return self._last
+
+    @property
+    def total(self) -> np.ndarray:
+        if self._total is None:
+            self._total = self.prices.sum(axis=1)
+        return self._total
+
+    @property
+    def low(self) -> np.ndarray:
+        if self._low is None:
+            self._low = self.prices.min(axis=1, initial=np.inf)
+        return self._low
 
 
 def codes_to_bits(codes: np.ndarray, n: int) -> np.ndarray:

@@ -13,12 +13,11 @@ from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
-from .errors import InvalidInput
-from .model import asset_path
+from .errors import InvalidInput, LengthMismatch
+from .paths import BernoulliPath, PathTable, RowSummary, path_table
 
 if TYPE_CHECKING:
     from .model import TreeParams
-    from .paths import BernoulliPath
 
 
 class PayoffKind(enum.Enum):
@@ -53,54 +52,53 @@ def is_path_dependent(kind: PayoffLike) -> bool:
     return True
 
 
-def summary_payoff(kind: PayoffKind, K: float, last: Callable, mean: Callable,
-                   low: Callable) -> np.ndarray:
-    """Built-in payoff from a path summary: the one kind dispatch.
+def join_payoff(kind: PayoffKind, K: float, n: int, prefix: PathTable,
+                suffix: Union[PathTable, RowSummary]) -> np.ndarray:
+    """Built-in payoff of every n-step path prefix i + suffix j.
 
-    last, mean and low return S_N, the average of S_1..S_N and their
-    minimum.  Each kind reads one of them, so only that one is computed.
+    The path kernel of every engine and the one kind dispatch.  prefix
+    holds one state per row (last price, price sum and minimum, from
+    S0); suffix holds last, total and low relative to the price it
+    starts from.  Entry (i, j) extends prefix row i by suffix j in a few
+    multiplies and adds, and each kind forms only the statistic it reads.
     """
+    e = prefix.last[:, None]
     if kind is PayoffKind.EUROPEAN_CALL:
-        return np.maximum(last() - K, 0.0)
+        return np.maximum(e * suffix.last - K, 0.0)
     if kind is PayoffKind.EUROPEAN_PUT:
-        return np.maximum(K - last(), 0.0)
+        return np.maximum(K - e * suffix.last, 0.0)
     if kind is PayoffKind.ASIAN_PUT:
-        return np.maximum(K - mean(), 0.0)
+        return np.maximum(K - (prefix.total[:, None] + e * suffix.total) / n, 0.0)
     if kind is PayoffKind.FIXED_LOOKBACK_PUT:
-        return np.maximum(K - low(), 0.0)
+        # fmin: an empty suffix has low = +inf, and a prefix price that
+        # underflowed to 0 turns it into NaN, which fmin skips.
+        return np.maximum(K - np.fmin(prefix.low[:, None], e * suffix.low), 0.0)
     raise InvalidInput(f"unhandled payoff kind {kind!r}")
 
 
 def payoff(kind: PayoffLike, params: "TreeParams", S0: float, K: float,
-           path: "BernoulliPath") -> float:
+           path: BernoulliPath) -> float:
     """Evaluate one payoff on one path."""
-    if not isinstance(kind, PayoffKind):
-        return float(kind(params, S0, K, path))
-    prices = asset_path(params, S0, path)
-    return float(summary_payoff(kind, K, lambda: prices[-1], prices.mean, prices.min))
+    return float(payoff_batch(kind, params, S0, K, [path.bits()])[0])
 
 
 def payoff_batch(kind: PayoffLike, params: "TreeParams", S0: float, K: float,
                  bits: np.ndarray) -> np.ndarray:
     """Evaluate one payoff on a (batch, N) boolean bit matrix.
 
-    Builds the full price trajectory for every row, so each path costs
-    O(N) work for every kind.  Callable kinds fall back to a per-row
-    loop through payoff().
+    Built-in kinds join the start state (S0, sum 0, minimum +inf) with
+    the rows' summary.  Callable kinds fall back to a per-row loop.
     """
     bits = np.asarray(bits, dtype=bool)
     if bits.ndim != 2:
         raise InvalidInput(f"bit matrix must be 2-D, got shape {bits.shape}")
+    if bits.shape[1] != params.n_steps:
+        raise LengthMismatch(f"bit rows have {bits.shape[1]} steps, tree has {params.n_steps}")
     if not isinstance(kind, PayoffKind):
-        from .paths import BernoulliPath
-
         out = np.empty(bits.shape[0], dtype=np.float64)
         for i in range(bits.shape[0]):
             p = BernoulliPath.from_bits([int(b) for b in bits[i]])
             out[i] = kind(params, S0, K, p)
         return out
-
-    factors = np.where(bits, params.u, params.d)
-    prices = S0 * np.cumprod(factors, axis=1)
-    return summary_payoff(kind, K, lambda: prices[:, -1],
-                          lambda: prices.mean(axis=1), lambda: prices.min(axis=1))
+    start = path_table((), params.u, params.d, S0)
+    return join_payoff(kind, K, params.n_steps, start, RowSummary(bits, params.u, params.d))[0]

@@ -158,19 +158,49 @@ def test_domain_errors_exit_three(capsys):
     assert code == 3
 
 
+# sigma=40 at N=20: u^20 overflows while that path's weight underflows.
+EXTREME = ["--payoff", "euro-call", "--S0", "1", "--K", "1", "--q", "0",
+           "--sigma", "40", "--T", "1"]
+# Fair coins reach the overflowing paths often enough for 1000 draws to hit them.
+FAIR_20 = ["--probs", ",".join(["0.5"] * 20)]
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("method, n, extra", [
     ("leaf", "20", ()),
     ("exact", "20", ()),
     ("mc", "2", ("--samples", "64")),  # exp(sigma^2 * T / N) overflows
 ])
 def test_non_finite_results_exit_three(capsys, method, n, extra):
-    code, out, err = run_cli(
-        capsys, "price", "--method", method, "--payoff", "euro-call", "--S0", "1",
-        "--K", "1", "--q", "0", "--sigma", "40", "--T", "1", "--N", n, *extra,
-    )
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: ")
+    assert_one_error_line(*run_cli(
+        capsys, "price", "--method", method, *EXTREME, "--N", n, *extra,
+    ))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("method, extra", [
+    ("mc", ()),
+    ("pmc", ("--workers", "4")),
+    ("pmc-equal", ("--workers", "4", "--eval-threads", "2")),
+    ("smc", ("--workers", "64", "--eval-threads", "2")),  # two chunks of 32 prefixes
+])
+def test_non_finite_mc_results_exit_three(capsys, method, extra, fmt):
+    assert_one_error_line(*run_cli(
+        capsys, "price", "--method", method, *EXTREME, "--N", "20", *FAIR_20,
+        "--samples", "1000", "--format", fmt, *extra,
+    ))
+
+
+def test_non_finite_study_rows_exit_three(capsys):
+    assert_one_error_line(*run_cli(
+        capsys, "study", "--table", "mc-convergence", *EXTREME, "--N", "20", *FAIR_20,
+        "--R-list", "1000", "--reps", "2",
+    ))
 
 
 def test_negative_seed_is_usage_error(capsys):

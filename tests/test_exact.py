@@ -211,18 +211,31 @@ def test_callable_payoff_through_engine():
 
 
 def test_tracing_hooks_resolve_and_callable_matches_builtin_twin(monkeypatch):
-    # The benchmark's traced run patches these two names on binpaths.exact.
-    from binpaths import exact
+    # The benchmark's traced run patches these names on binpaths.exact and
+    # binpaths.mc, and expects one mc_stream and one payoff_batch call per
+    # estimate_basic call.
+    from binpaths import exact, mc
 
-    calls = {"codes_to_bits": 0, "payoff_batch": 0}
-    for name in calls:
-        fn = getattr(exact, name)
+    calls = {}
+    for module, names in ((exact, ("codes_to_bits", "payoff_batch")),
+                          (mc, ("payoff_batch", "block_probability", "allocate_strata",
+                                "mc_stream", "sample_bits"))):
+        for name in names:
+            fn = getattr(module, name)
+            key = f"{module.__name__}.{name}"
+            calls[key] = 0
 
-        def counted(*args, _fn=fn, _name=name):
-            calls[_name] += 1
-            return _fn(*args)
+            def counted(*args, _fn=fn, _key=key):
+                calls[_key] += 1
+                return _fn(*args)
 
-        monkeypatch.setattr(exact, name, counted)
+            monkeypatch.setattr(module, name, counted)
+
+    mc.estimate_basic(ValuationRequest(inputs=TOY_INPUTS, params=TOY_PARAMS,
+                                       kind=PayoffKind.ASIAN_PUT), mc.McConfig(R=8))
+    assert calls["binpaths.mc.mc_stream"] == 1
+    assert calls["binpaths.mc.payoff_batch"] == 1
+    assert calls["binpaths.mc.sample_bits"] == 1
 
     def asian_put_clone(params, S0, K, path):
         return float(max(K - asset_path(params, S0, path).mean(), 0.0))
@@ -235,7 +248,8 @@ def test_tracing_hooks_resolve_and_callable_matches_builtin_twin(monkeypatch):
         got = value_exact_parallel(ValuationRequest(
             inputs=inputs, params=params, kind=asian_put_clone, workers=workers))
         assert got == pytest.approx(twin, rel=1e-12)
-    assert calls["codes_to_bits"] > 0 and calls["payoff_batch"] > 0
+    assert calls["binpaths.exact.codes_to_bits"] > 0
+    assert calls["binpaths.exact.payoff_batch"] > 0
 
 
 def test_non_finite_value_is_a_domain_error():

@@ -12,6 +12,8 @@ from binpaths import (
     PayoffKind,
     ValuationRequest,
     allocate_strata,
+    asset_path,
+    block_probability,
     derive_crr,
     estimate_basic,
     estimate_partitioned,
@@ -25,6 +27,8 @@ from binpaths import (
     with_custom_probs,
 )
 from binpaths.mc import sample_bits
+
+from oracles import brute_payoff, brute_prices
 
 DESK = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=12)
 DESK_PARAMS = derive_crr(DESK)
@@ -230,6 +234,17 @@ def test_full_stratification_recovers_exact_value():
     assert sh.value == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", list(PayoffKind))
+def test_full_stratification_joins_an_empty_suffix_for_every_kind(kind):
+    # M = 2^N: every stratum is one whole path and the sampled suffix has no steps.
+    inputs = MarketInputs(S0=5.0, K=6.0, q=0.06, sigma=0.50, T=1.0, N=4)
+    req = ValuationRequest(inputs=inputs, params=derive_crr(inputs), kind=kind)
+    exact = value_exact_serial(req)
+    for estimator in STRATIFIED:
+        est = estimator(req, McConfig(R=16, M=16, seed=0))
+        assert est.value == pytest.approx(exact, rel=1e-12)
+
+
 def test_zero_mass_strata_are_skipped_not_sampled():
     inputs = MarketInputs(S0=2.0, K=1.0, q=0.05, sigma=0.0, T=1.0, N=8)
     params = derive_crr(inputs)  # p = 1 everywhere, only the all-up prefix has mass
@@ -276,6 +291,46 @@ def test_eval_threads_do_not_change_results(estimator):
     for threads in (2, 4):
         threaded = estimator(_desk_req(), cfg, eval_threads=threads)
         assert threaded == lone
+
+
+def test_shared_chunks_match_brute_force_per_draw():
+    # R=2048 puts 16 prefixes in a chunk, so M=32 runs two chunks.
+    inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=8)
+    params = derive_crr(inputs)
+    req = ValuationRequest(inputs=inputs, params=params, kind=PayoffKind.ASIAN_PUT)
+    cfg = McConfig(R=2048, M=32, seed=4)
+    est = estimate_shared(req, cfg)
+    assert estimate_shared(req, cfg, eval_threads=2) == est
+
+    suffixes = sample_bits(mc_stream(4), params.up_probs[5:], 2048).tolist()
+    part = make_partition(8, 32)
+    inner = np.zeros(2048)
+    for m in range(32):
+        head = [(m >> (4 - t)) & 1 for t in range(5)]
+        values = np.array([
+            brute_payoff("asian-put", brute_prices(20.0, params.u, params.d, head + row), 100.0)
+            for row in suffixes
+        ])
+        assert est.per_stratum[m][2] == pytest.approx(values.mean(), rel=1e-12)
+        inner += block_probability(params, part, m) * values
+    assert est.value == pytest.approx(math.exp(-0.06) * inner.mean(), rel=1e-12)
+    assert est.variance == pytest.approx(math.exp(-0.12) * inner.var() / 2048, rel=1e-9)
+
+
+@pytest.mark.parametrize("estimator", (estimate_basic,) + STRATIFIED)
+def test_callable_payoff_matches_builtin_twin(estimator):
+    def asian_put_clone(params, S0, K, path):
+        return float(max(K - asset_path(params, S0, path).mean(), 0.0))
+
+    inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=6)
+    params = derive_crr(inputs)
+    cfg = McConfig(R=64, M=1 if estimator is estimate_basic else 4, seed=3)
+    twin = estimator(ValuationRequest(inputs=inputs, params=params,
+                                      kind=PayoffKind.ASIAN_PUT), cfg)
+    got = estimator(ValuationRequest(inputs=inputs, params=params, kind=asian_put_clone), cfg)
+    assert got.value == pytest.approx(twin.value, rel=1e-12)
+    assert got.variance == pytest.approx(twin.variance, rel=1e-9)
+    assert got.R_used == twin.R_used
 
 
 def test_repetition_streams_are_independent_but_reproducible():

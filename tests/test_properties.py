@@ -1,21 +1,29 @@
-"""Property tests: the exact engine against the brute-force oracle.
+"""Property tests: the exact engine, the partition and the allocation.
 
-Inputs cover random markets, constant (CRR) and per-step probabilities,
-and every worker count from 1 to 9.  N stays at 12 or below, so every
-suffix table spans the whole remainder after the partition prefix; the
-explicit examples pin M = 2^N (an empty suffix) and round-robin deals.
+The exact engine is checked against the brute-force oracle on random
+markets, constant (CRR) and per-step probabilities, and every worker
+count from 1 to 9.  N stays at 12 or below, so every suffix table spans
+the whole remainder after the partition prefix; the explicit examples
+pin M = 2^N (an empty suffix) and round-robin deals.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from binpaths import (
+    InfeasibleAllocation,
     MarketInputs,
     PayoffKind,
     ProbabilityOutOfRange,
+    TreeParams,
     ValuationRequest,
+    allocate_strata,
+    block_code_ranges,
+    block_probability,
     derive_crr,
+    make_partition,
     value_exact_parallel,
     with_custom_probs,
 )
@@ -80,3 +88,48 @@ def test_exact_engine_matches_brute_force(req):
         [float(p) for p in params.up_probs], inputs.q, inputs.T, req.kind.value,
     )
     assert value_exact_parallel(req) == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+
+@DETERMINISTIC
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 1 << n))))
+@example((12, 4096))
+@example((7, 100))
+def test_partition_is_an_exact_cover(case):
+    n, m = case
+    part = make_partition(n, m)
+    codes = [c for rank in range(m) for lo, hi in block_code_ranges(part, rank)
+             for c in range(lo, hi)]
+    assert sorted(codes) == list(range(1 << n))
+
+
+@st.composite
+def allocations(draw):
+    """A power-of-two stratification whose prefix steps may have p = 0 or 1."""
+    n = draw(st.integers(1, 10))
+    m = 1 << draw(st.integers(0, min(n, 6)))
+    probs = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99),
+                          min_size=n, max_size=n))
+    params = TreeParams(dt=1.0, u=2.0, d=0.5, beta=1.25, up_probs=np.array(probs))
+    return make_partition(n, m), params, draw(st.integers(1, 4 * m))
+
+
+@DETERMINISTIC
+@given(allocations())
+# Masses (0, 0, 0.7, 0.3): the remainder draw must skip the zero-mass ranks.
+@example((make_partition(2, 4),
+          TreeParams(dt=1.0, u=2.0, d=0.5, beta=1.25, up_probs=np.array([1.0, 0.3])), 5))
+def test_allocation_invariants(case):
+    part, params, R = case
+    masses = [block_probability(params, part, m) for m in range(part.m)]
+    if R < sum(mass > 0.0 for mass in masses):
+        with pytest.raises(InfeasibleAllocation):
+            allocate_strata(part, params, R)
+        return
+    alloc = allocate_strata(part, params, R)
+    assert sum(alloc) == R
+    assert all(a >= 1 if mass > 0.0 else a == 0 for a, mass in zip(alloc, masses))
+    assert allocate_strata(part, params, R) == alloc
+    # Ties: strata of equal mass get draws within one of each other.
+    for mass in set(masses):
+        tied = [a for a, x in zip(alloc, masses) if x == mass]
+        assert max(tied) - min(tied) <= 1
