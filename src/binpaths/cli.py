@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -16,8 +15,8 @@ from .errors import PricingError, ProbabilityOutOfRange
 from .exact import (
     LARGE_DEPTH,
     ValuationRequest,
+    usable_cores,
     value_exact_parallel,
-    value_exact_serial,
     value_leaf_formula,
 )
 from .mc import (
@@ -193,16 +192,16 @@ def cmd_price(args) -> int:
 
     inputs, params = _tree_for(args, args.N)
     kind = parse_payoff(args.payoff)
+    # exact-serial is exact on one worker, whatever --workers says.
+    workers = 1 if args.method == "exact-serial" else args.workers
     req = ValuationRequest(inputs=inputs, params=params, kind=kind,
-                           workers=args.workers, force_large=args.force_large)
+                           workers=workers, force_large=args.force_large)
 
     reps_used = 1
     empirical = None
     t0 = time.perf_counter()
-    if args.method == "exact":
-        value, variance, r_used, m_used = value_exact_parallel(req), 0.0, 0, args.workers
-    elif args.method == "exact-serial":
-        value, variance, r_used, m_used = value_exact_serial(req), 0.0, 0, 1
+    if args.method in ENUM_METHODS:
+        value, variance, r_used, m_used = value_exact_parallel(req), 0.0, 0, workers
     elif args.method == "leaf":
         value, variance, r_used, m_used = value_leaf_formula(req), 0.0, 0, 1
     else:
@@ -309,7 +308,7 @@ def cmd_bench(args) -> int:
             f"N={too_deep[0]} needs --force-large to enumerate 2^{too_deep[0]} paths"
         )
     kind = parse_payoff(args.payoff)
-    cores = os.cpu_count() or 1
+    cores = usable_cores()
     oversub = [m for m in args.M_list if m > cores]
     if oversub:
         print(

@@ -25,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import (
     EnumerationGuard,
@@ -36,7 +35,7 @@ from .errors import (
     PathDependentPayoff,
     quiet_non_finite,
 )
-from .model import MarketInputs, TreeParams, leaf_prices
+from .model import MarketInputs, TreeParams, _binomial_pmf, leaf_prices
 from .paths import PathPartition, PathTable, codes_to_bits, make_partition, path_table
 from .payoffs import (
     PayoffKind,
@@ -120,20 +119,30 @@ def _rank_value(req: ValuationRequest, partition: PathPartition, rank: int, tabl
     kind, S0, K = req.kind, req.inputs.S0, req.inputs.K
     acc = _Kahan()
     visited = 0
+    # Reused by every batch: fresh batch-sized arrays cost a page fault per
+    # 4 KB whenever the allocator has returned the last batch's to the OS.
+    buf = np.empty((min(step, span), 1 << s))
     for v in partition.blocks[rank]:
         for lo in range(v * span, (v + 1) * span, step):
             hi = min(lo + step, (v + 1) * span)
             if isinstance(kind, PayoffKind):
-                values = join_payoff(kind, K, n, prefix.rows(lo, hi), suffix)
+                values = join_payoff(kind, K, n, prefix.rows(lo, hi), suffix, buf[:hi - lo])
             else:
                 codes = np.arange(lo << s, hi << s, dtype=np.uint64)
                 bits = codes_to_bits(codes, n)
                 values = payoff_batch(kind, req.params, S0, K, bits).reshape(hi - lo, -1)
-            inner = np.sum(values * suffix.weight, axis=1)
+            inner = np.sum(np.multiply(values, suffix.weight, out=values), axis=1)
             acc.add(float(np.sum(prefix.weight[lo:hi] * inner)))
             visited += (hi - lo) << s
     disc = math.exp(-req.inputs.q * req.inputs.T)
     return disc * acc.total, visited
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _map_in_order(fn, count: int, threads: int) -> list:
@@ -174,7 +183,7 @@ def value_exact_parallel(req: ValuationRequest) -> float:
     partition = make_partition(req.inputs.N, m)
     tables = _tables(req, partition)
     results = _map_in_order(lambda r: _rank_value(req, partition, r, tables), m,
-                            os.cpu_count() or 1)
+                            usable_cores())
     visited = sum(v for _, v in results)
     assert visited == 1 << req.inputs.N, "path accounting mismatch"
     total = 0.0
@@ -188,7 +197,7 @@ def value_leaf_formula(req: ValuationRequest) -> float:
     """Closed-form value from the N+1 leaves, for constant-p European kinds.
 
     The weight of leaf j is the binomial pmf C(N,j) p^j (1-p)^(N-j),
-    evaluated through scipy's log-space pmf so large N stays finite.
+    evaluated in log space (model._binomial_pmf) so large N stays finite.
     """
     if is_path_dependent(req.kind):
         raise PathDependentPayoff(
@@ -201,7 +210,7 @@ def value_leaf_formula(req: ValuationRequest) -> float:
             "leaf formula needs one constant up probability across steps"
         )
     n = req.inputs.N
-    weights = binom.pmf(np.arange(n + 1), n, p)
+    weights = _binomial_pmf(n, p)
     # Each leaf is the end state of whole paths, extended by the empty
     # word; a European payoff reads nothing but the last price.
     leaves = PathTable(weights, leaf_prices(req.params, req.inputs.S0), None, None)

@@ -215,7 +215,9 @@ class RowSummary:
 
     def __init__(self, bits: np.ndarray, u: float, d: float):
         self.bits = bits
-        self.prices = np.cumprod(np.where(bits, u, d), axis=1)
+        # In place: one rows x steps array fewer to fault in per sample.
+        steps = np.where(bits, u, d)
+        self.prices = np.cumprod(steps, axis=1, out=steps)
         self._last = self._total = self._low = None
 
     # Not functools.cached_property: before Python 3.12 it holds one lock

@@ -9,7 +9,7 @@ which is the extension point for new path functionals.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
@@ -53,7 +53,7 @@ def is_path_dependent(kind: PayoffLike) -> bool:
 
 
 def join_payoff(kind: PayoffKind, K: float, n: int, prefix: PathTable,
-                suffix: Union[PathTable, RowSummary]) -> np.ndarray:
+                suffix: Union[PathTable, RowSummary], out: Optional[np.ndarray] = None) -> np.ndarray:
     """Built-in payoff of every n-step path prefix i + suffix j.
 
     The path kernel of every engine and the one kind dispatch.  prefix
@@ -61,19 +61,30 @@ def join_payoff(kind: PayoffKind, K: float, n: int, prefix: PathTable,
     S0); suffix holds last, total and low relative to the price it
     starts from.  Entry (i, j) extends prefix row i by suffix j in a few
     multiplies and adds, and each kind forms only the statistic it reads.
+    The result is built in place, in `out` when given: the exact engine
+    passes one buffer per rank, so its batches allocate nothing.
     """
     e = prefix.last[:, None]
     if kind is PayoffKind.EUROPEAN_CALL:
-        return np.maximum(e * suffix.last - K, 0.0)
-    if kind is PayoffKind.EUROPEAN_PUT:
-        return np.maximum(K - e * suffix.last, 0.0)
-    if kind is PayoffKind.ASIAN_PUT:
-        return np.maximum(K - (prefix.total[:, None] + e * suffix.total) / n, 0.0)
-    if kind is PayoffKind.FIXED_LOOKBACK_PUT:
+        v = np.multiply(e, suffix.last, out=out)
+        v -= K
+    elif kind is PayoffKind.EUROPEAN_PUT:
+        v = np.multiply(e, suffix.last, out=out)
+        np.subtract(K, v, out=v)
+    elif kind is PayoffKind.ASIAN_PUT:
+        v = np.multiply(e, suffix.total, out=out)
+        v += prefix.total[:, None]
+        v /= n
+        np.subtract(K, v, out=v)
+    elif kind is PayoffKind.FIXED_LOOKBACK_PUT:
         # fmin: an empty suffix has low = +inf, and a prefix price that
         # underflowed to 0 turns it into NaN, which fmin skips.
-        return np.maximum(K - np.fmin(prefix.low[:, None], e * suffix.low), 0.0)
-    raise InvalidInput(f"unhandled payoff kind {kind!r}")
+        v = np.multiply(e, suffix.low, out=out)
+        np.fmin(prefix.low[:, None], v, out=v)
+        np.subtract(K, v, out=v)
+    else:
+        raise InvalidInput(f"unhandled payoff kind {kind!r}")
+    return np.maximum(v, 0.0, out=v)
 
 
 def payoff(kind: PayoffLike, params: "TreeParams", S0: float, K: float,

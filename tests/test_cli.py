@@ -320,3 +320,43 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "price", "--help")
     assert code == 0
     assert "--override-u" not in out
+
+
+def test_exact_serial_is_exact_on_one_worker(capsys):
+    serial = price_json(capsys, "--method", "exact-serial", "--workers", "3", "--N", "12", *DESK)
+    exact = price_json(capsys, "--method", "exact", "--N", "12", *DESK)
+    assert serial["method"] == "exact-serial" and serial["M"] == 1
+    for report in (serial, exact):
+        del report["method"], report["wall_seconds"]
+    assert serial == exact
+
+
+def test_bench_note_counts_usable_cores(capsys, monkeypatch):
+    import binpaths.cli
+
+    monkeypatch.setattr(binpaths.cli, "usable_cores", lambda: 1)
+    code, _, err = run_cli(capsys, "bench", "--N-list", "8", "--M-list", "1,2",
+                           "--reps", "1", *DESK)
+    assert code == 0
+    assert "worker counts [2] exceed the 1 available cores" in err
+
+
+def test_cli_leaves_scipy_unimported():
+    # In a fresh interpreter: this process has scipy loaded by other tests.
+    import binpaths
+
+    src = os.path.dirname(os.path.dirname(binpaths.__file__))
+    code = (
+        "import sys, binpaths, binpaths.cli\n"
+        "assert binpaths.cli.main(['price', '--method', 'leaf', '--payoff', 'euro-call',"
+        " '--S0', '20', '--K', '100', '--q', '0.06', '--sigma', '3', '--T', '1',"
+        " '--N', '60']) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["method"] == "leaf"

@@ -1,4 +1,6 @@
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from binpaths import (
     value_leaf_formula,
     with_custom_probs,
 )
+from binpaths.model import _binomial_pmf
 
 from oracles import brute_value
 
@@ -182,6 +185,29 @@ def test_leaf_formula_sigma_zero_degenerate_weights():
     assert value_leaf_formula(req) == pytest.approx(value_exact_serial(req), rel=1e-12)
 
 
+LEAF_PROBS = (1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-9)
+
+
+@pytest.mark.parametrize("depths, rel", [(range(1, 501), 1e-12),
+                                         ((501, 1000, 2500, 5000, 9999, 10_000), 1e-10)])
+def test_leaf_weights_match_binomial_pmf(depths, rel):
+    from scipy.stats import binom
+
+    for n in depths:
+        for p in LEAF_PROBS:
+            got = _binomial_pmf(n, p)
+            want = binom.pmf(np.arange(n + 1), n, p)
+            # Relative where the oracle is at least 1e-300; below that,
+            # near-subnormal values keep too few digits to compare.
+            assert np.all(np.abs(got - want) <= rel * np.maximum(want, 1e-300)), (n, p)
+            assert abs(math.fsum(got) - 1.0) <= 1e-12, (n, p)
+
+
+def test_leaf_weights_are_one_hot_for_certain_moves():
+    assert _binomial_pmf(6, 1.0).tolist() == [0.0] * 6 + [1.0]
+    assert _binomial_pmf(6, 0.0).tolist() == [1.0] + [0.0] * 6
+
+
 def test_leaf_formula_rejects_path_dependent_kinds():
     with pytest.raises(PathDependentPayoff):
         value_leaf_formula(_toy_req(PayoffKind.ASIAN_PUT))
@@ -261,3 +287,27 @@ def test_non_finite_value_is_a_domain_error():
         for engine in (value_exact_serial, value_exact_parallel, value_leaf_formula):
             with pytest.raises(NonFiniteValue):
                 engine(req)
+
+
+def test_one_usable_core_evaluates_ranks_without_a_pool(monkeypatch):
+    from binpaths import exact
+
+    assert 1 <= exact.usable_cores() <= (os.cpu_count() or 1)
+    pools = []
+    real_pool = exact.ThreadPoolExecutor
+
+    def counted_pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "ThreadPoolExecutor", counted_pool)
+    inputs = MarketInputs(S0=5.0, K=10.0, q=0.06, sigma=0.30, T=1.0, N=12)
+    req = ValuationRequest(inputs=inputs, params=derive_crr(inputs),
+                           kind=PayoffKind.ASIAN_PUT, workers=4)
+    monkeypatch.setattr(exact, "usable_cores", lambda: 4)
+    pooled = value_exact_parallel(req)
+    assert pools == [4]
+    monkeypatch.setattr(exact, "usable_cores", lambda: 1)
+    assert value_exact_parallel(req) == pooled
+    assert pools == [4]
+    assert value_exact_parallel(replace(req, workers=1)) == pytest.approx(pooled, rel=1e-12)

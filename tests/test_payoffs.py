@@ -12,7 +12,8 @@ from binpaths import (
     payoff,
     payoff_batch,
 )
-from binpaths.paths import codes_to_bits
+from binpaths.paths import codes_to_bits, path_table
+from binpaths.payoffs import join_payoff
 
 from oracles import brute_paths, brute_payoff, brute_prices
 
@@ -87,6 +88,27 @@ def test_batch_matches_scalar_for_all_paths_and_kinds():
         for code in range(1 << 8):
             scalar = payoff(kind, params, 5.0, 10.0, BernoulliPath(code=code, n=8))
             assert batch[code] == scalar
+
+
+def test_join_payoff_fills_the_given_buffer():
+    params = derive_crr(MarketInputs(S0=5.0, K=10.0, q=0.06, sigma=0.30, T=1.0, N=8))
+    prefix = path_table(params.up_probs[:3], params.u, params.d, 5.0)
+    suffix = path_table(params.up_probs[3:], params.u, params.d, 1.0)
+    e = prefix.last[:, None]
+    # The same arithmetic written as allocating expressions.
+    reference = {
+        PayoffKind.EUROPEAN_CALL: np.maximum(e * suffix.last - 10.0, 0.0),
+        PayoffKind.EUROPEAN_PUT: np.maximum(10.0 - e * suffix.last, 0.0),
+        PayoffKind.ASIAN_PUT: np.maximum(10.0 - (prefix.total[:, None] + e * suffix.total) / 8,
+                                         0.0),
+        PayoffKind.FIXED_LOOKBACK_PUT: np.maximum(
+            10.0 - np.fmin(prefix.low[:, None], e * suffix.low), 0.0),
+    }
+    for kind in PayoffKind:
+        buf = np.full((8, 32), np.nan)
+        assert join_payoff(kind, 10.0, 8, prefix, suffix, buf) is buf
+        assert np.array_equal(buf, reference[kind])
+        assert np.array_equal(join_payoff(kind, 10.0, 8, prefix, suffix), reference[kind])
 
 
 def test_batch_matches_brute_force_reference():
