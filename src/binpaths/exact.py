@@ -1,20 +1,27 @@
 """Exact expected value over all 2^N paths, serial and partitioned.
 
 The value is e^{-qT} * sum over every path of p(path) * payoff(path).
-Each path splits into a k-step prefix and an s-step suffix, with
-s = min(SUFFIX_BITS, partition.suffix_width).  Two tables built once per
-request hold the state of every prefix (from S0) and of every suffix
-(relative to the prefix's end): weight, last price, price sum and
-minimum.  join_payoff, the path kernel the Monte Carlo estimators share,
-extends a prefix state by a suffix entry in a few multiplies and adds,
-O(1) work per path.  Callable payoffs have no summary: they fall back
-to decoding bit rows with codes_to_bits and calling payoff_batch, with
-the same table weights.
+Each path splits into a k-step prefix and an s = N - k step suffix, with
+k = min(N, max(N - SUFFIX_BITS, ROW_BITS)) unless the partition's prefix
+is wider.  Two tables built once per request hold the state of every
+prefix (from S0) and of every suffix (relative to the prefix's end):
+weight, last price, price sum and minimum.  join_payoff, the path
+kernel the Monte Carlo estimators share, extends a prefix state by a
+suffix entry in a few multiplies and adds, O(1) work per path.
+Callable payoffs have no summary: they fall back to decoding bit rows
+with codes_to_bits and calling payoff_batch, with the same table
+weights.
 
-Workers own disjoint code ranges from a PathPartition, accumulate their
-local sums with Kahan compensation, apply the discount locally, and the
-partial values are reduced in ascending rank order.  The serial engine
-is the partitioned one with a single worker.
+A prefix row, one prefix and all of its suffixes, is the one unit of
+reduction.  Workers own whole rows through the blocks of a PathPartition
+and return one partial per row; the partials of all ranks are summed
+once with math.fsum, which is exactly rounded and so independent of
+their order, and discounted once.  Row partials depend on N alone, so
+every worker count gives the same bits, except where a partition block
+is narrower than a row (possible only for N > 10, with M > 1024 or a
+round-robin M > 64): there the rows shrink to the blocks and the value
+agrees to rounding.  The serial engine is the partitioned one with a
+single worker.
 """
 
 from __future__ import annotations
@@ -51,6 +58,11 @@ LARGE_DEPTH = 28
 # Steps covered by the suffix table: 2^15 entries, 256 KB per array.
 SUFFIX_BITS = 15
 
+# Steps of the narrowest row grid: 2^10 rows hold every block of every
+# power-of-two partition up to 1024 ranks and of every round-robin deal
+# up to 64, so the grid, and with it the value, does not move with M.
+ROW_BITS = 10
+
 # Paths evaluated per vectorized batch inside a worker.
 CHUNK = 1 << 15
 
@@ -76,39 +88,26 @@ class ValuationRequest:
             )
 
 
-class _Kahan:
-    """Compensated accumulator for a stream of float addends."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self):
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-
-
 def _tables(req: ValuationRequest, partition: PathPartition):
     """Prefix and suffix tables for one request, shared by every rank.
 
-    The suffix is s = min(SUFFIX_BITS, partition.suffix_width) steps, so
-    each prefix of k = N - s steps lies inside one partition block.
+    The prefix is k = min(N, max(N - SUFFIX_BITS, ROW_BITS)) steps, a grid
+    fixed by N, unless the partition's prefix is wider; either way each
+    partition block is a whole number of prefix rows.
     """
-    params = req.params
-    k = req.inputs.N - min(SUFFIX_BITS, partition.suffix_width)
+    params, n = req.params, req.inputs.N
+    k = max(partition.prefix_width, min(n, max(n - SUFFIX_BITS, ROW_BITS)))
     prefix = path_table(params.up_probs[:k], params.u, params.d, req.inputs.S0)
     suffix = path_table(params.up_probs[k:], params.u, params.d, 1.0)
     return prefix, suffix
 
 
 def _rank_value(req: ValuationRequest, partition: PathPartition, rank: int, tables):
-    """Discounted local sum over one rank's paths, plus its path count.
+    """Undiscounted partials of one rank's prefix rows, in its row order.
 
-    A batch joins a few prefix states with the whole suffix table: row i,
+    A row's partial is its prefix weight times the suffix-weighted sum
+    of its payoffs, the same whichever rank or batch computes it.  A
+    batch joins a few prefix states with the whole suffix table: row i,
     column j is the path with prefix lo + i and suffix j.
     """
     prefix, suffix = tables
@@ -117,25 +116,29 @@ def _rank_value(req: ValuationRequest, partition: PathPartition, rank: int, tabl
     span = 1 << (n - s - partition.prefix_width)
     step = max(1, CHUNK >> s)
     kind, S0, K = req.kind, req.inputs.S0, req.inputs.K
-    acc = _Kahan()
-    visited = 0
+    partials = []
     # Reused by every batch: fresh batch-sized arrays cost a page fault per
     # 4 KB whenever the allocator has returned the last batch's to the OS.
     buf = np.empty((min(step, span), 1 << s))
-    for v in partition.blocks[rank]:
-        for lo in range(v * span, (v + 1) * span, step):
-            hi = min(lo + step, (v + 1) * span)
-            if isinstance(kind, PayoffKind):
-                values = join_payoff(kind, K, n, prefix.rows(lo, hi), suffix, buf[:hi - lo])
-            else:
-                codes = np.arange(lo << s, hi << s, dtype=np.uint64)
-                bits = codes_to_bits(codes, n)
-                values = payoff_batch(kind, req.params, S0, K, bits).reshape(hi - lo, -1)
-            inner = np.sum(np.multiply(values, suffix.weight, out=values), axis=1)
-            acc.add(float(np.sum(prefix.weight[lo:hi] * inner)))
-            visited += (hi - lo) << s
-    disc = math.exp(-req.inputs.q * req.inputs.T)
-    return disc * acc.total, visited
+    # A ufunc buffer that spans several batch rows makes NumPy copy the
+    # broadcast operands (prefix columns, suffix weights) through it, which
+    # halves the speed of those steps; a buffer of at most one row avoids it.
+    bufsize = np.setbufsize(min(np.getbufsize(), 1 << max(s, 4)))
+    try:
+        for v in partition.blocks[rank]:
+            for lo in range(v * span, (v + 1) * span, step):
+                hi = min(lo + step, (v + 1) * span)
+                if isinstance(kind, PayoffKind):
+                    values = join_payoff(kind, K, n, prefix.rows(lo, hi), suffix, buf[:hi - lo])
+                else:
+                    codes = np.arange(lo << s, hi << s, dtype=np.uint64)
+                    bits = codes_to_bits(codes, n)
+                    values = payoff_batch(kind, req.params, S0, K, bits).reshape(hi - lo, -1)
+                inner = np.sum(np.multiply(values, suffix.weight, out=values), axis=1)
+                partials.append(prefix.weight[lo:hi] * inner)
+    finally:
+        np.setbufsize(bufsize)
+    return np.concatenate(partials)
 
 
 def usable_cores() -> int:
@@ -171,8 +174,9 @@ def value_exact_serial(req: ValuationRequest) -> float:
 def value_exact_parallel(req: ValuationRequest) -> float:
     """Partitioned enumeration over req.workers ranks.
 
-    Rank results are reduced in ascending order, so the output depends
-    on the worker count M but not on thread scheduling.
+    The row partials of all ranks are summed with math.fsum, so the
+    output depends on neither thread scheduling nor, on the row grid,
+    the worker count M.
     """
     if req.inputs.N > LARGE_DEPTH and not req.force_large:
         raise EnumerationGuard(
@@ -182,14 +186,15 @@ def value_exact_parallel(req: ValuationRequest) -> float:
     m = req.workers
     partition = make_partition(req.inputs.N, m)
     tables = _tables(req, partition)
-    results = _map_in_order(lambda r: _rank_value(req, partition, r, tables), m,
-                            usable_cores())
-    visited = sum(v for _, v in results)
-    assert visited == 1 << req.inputs.N, "path accounting mismatch"
-    total = 0.0
-    for value, _ in results:
-        total += value
-    return _finite(total)
+    partials = np.concatenate(_map_in_order(
+        lambda r: _rank_value(req, partition, r, tables), m, usable_cores()))
+    assert partials.size * tables[1].weight.size == 1 << req.inputs.N, \
+        "path accounting mismatch"
+    try:
+        total = math.fsum(partials)
+    except (ValueError, OverflowError):  # inf - inf, or an overflow on the way
+        total = math.nan
+    return _finite(math.exp(-req.inputs.q * req.inputs.T) * total)
 
 
 @quiet_non_finite

@@ -322,7 +322,10 @@ def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
     def chunk(c: int) -> tuple:
         lo, hi = c * step, min((c + 1) * step, cfg.M)
         values = _extend(req, prefix, lo, hi, suffix)
-        return np.sum(values * prefix.weight[lo:hi, None], axis=0), values.mean(axis=1)
+        means = values.mean(axis=1)
+        # Weighted in place: one rows x R array fewer per chunk.
+        np.multiply(values, prefix.weight[lo:hi, None], out=values)
+        return np.sum(values, axis=0), means
 
     chunks = _map_in_order(chunk, -(-cfg.M // step), eval_threads)
     theta, sse = _mean_sse(reduce(np.add, (inner for inner, _ in chunks)))

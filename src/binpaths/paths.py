@@ -94,10 +94,10 @@ class PathPartition:
 def make_partition(n: int, m: int) -> PathPartition:
     """Split the 2^n path codes across m ranks.
 
-    A power-of-two m uses exactly r = log2(m) prefix bits and rank i owns
-    the single prefix i, one contiguous range per rank.  Any other m uses
-    k = min(n, ceil(log2 m) + OVERSUB_BITS) prefix bits and deals the 2^k
-    blocks round-robin, block b to rank b mod m.
+    The 2^k blocks of k = min(n, ceil(log2 m)) prefix bits, plus
+    OVERSUB_BITS more when m is not a power of two, are dealt
+    round-robin, block b to rank b mod m.  A power-of-two m thus gives
+    rank i the single prefix i, one contiguous range per rank.
     """
     if not 1 <= n <= 62:
         raise InvalidInput(f"n must be between 1 and 62, got {n}")
@@ -107,19 +107,9 @@ def make_partition(n: int, m: int) -> PathPartition:
         raise InvalidWorkerCount(
             f"worker count {m} exceeds the {1 << n} paths of an {n}-step tree"
         )
-
-    if m & (m - 1) == 0:
-        width = m.bit_length() - 1
-        blocks = tuple((i,) for i in range(m))
-        return PathPartition(n=n, m=m, prefix_width=width, blocks=blocks)
-
-    width = min(n, (m - 1).bit_length() + OVERSUB_BITS)
-    owned = [[] for _ in range(m)]
-    for b in range(1 << width):
-        owned[b % m].append(b)
-    return PathPartition(
-        n=n, m=m, prefix_width=width, blocks=tuple(tuple(o) for o in owned)
-    )
+    width = min(n, (m - 1).bit_length() + (OVERSUB_BITS if m & (m - 1) else 0))
+    blocks = tuple(tuple(range(r, 1 << width, m)) for r in range(m))
+    return PathPartition(n=n, m=m, prefix_width=width, blocks=blocks)
 
 
 def _check_rank(partition: PathPartition, rank: int) -> None:

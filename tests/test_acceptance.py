@@ -100,10 +100,9 @@ def test_03_parallel_value_invariant_in_worker_count():
                 kind, S0=5.0, K=10.0, q=0.06, sigma=0.30, T=1.0, N=20, workers=m
             )
             values.append(value_exact_parallel(req))
-        scale = max(abs(v) for v in values)
         for a in values:
             for b in values:
-                assert abs(a - b) <= 1e-9 * scale, f"{kind.value}: {values}"
+                assert a == b, f"{kind.value}: {values}"
     assert time.perf_counter() - t0 < 120.0
 
 

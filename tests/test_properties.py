@@ -2,10 +2,16 @@
 
 The exact engine is checked against the brute-force oracle on random
 markets, constant (CRR) and per-step probabilities, and every worker
-count from 1 to 9.  N stays at 12 or below, so every suffix table spans
-the whole remainder after the partition prefix; the explicit examples
-pin M = 2^N (an empty suffix) and round-robin deals.
+count from 1 to 9, and against itself on one worker, bit for bit: its
+prefix rows are fixed by N, so the worker count must not move the
+value.  For N <= 10 a row is one path (an empty suffix table); the
+explicit examples pin M = 2^N, round-robin deals and, at N = 16, rows
+of 2^6 paths.  A partition finer than the row grid is the one case
+where worker counts agree only to rounding.
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ from hypothesis import strategies as st
 from binpaths import (
     InfeasibleAllocation,
     MarketInputs,
+    NonFiniteValue,
     PayoffKind,
     ProbabilityOutOfRange,
     TreeParams,
@@ -81,13 +88,40 @@ def _request(n, workers, kind, probs=None, sigma=0.8):
 @example(_request(8, 256, PayoffKind.ASIAN_PUT, [0.2, 0.7] * 4))
 @example(_request(12, 7, PayoffKind.ASIAN_PUT))  # round-robin, 128 blocks
 @example(_request(9, 3, PayoffKind.EUROPEAN_CALL, [0.1 * (i % 9 + 1) for i in range(9)]))
+@example(_request(16, 3, PayoffKind.FIXED_LOOKBACK_PUT))  # round-robin, rows of 2^6 paths
 def test_exact_engine_matches_brute_force(req):
+    got = value_exact_parallel(req)
+    assert got == pytest.approx(_brute(req), rel=1e-12, abs=1e-13)
+    assert got == value_exact_parallel(replace(req, workers=1))
+
+
+def _brute(req):
     inputs, params = req.inputs, req.params
-    want = brute_value(
+    return brute_value(
         inputs.S0, inputs.K, params.u, params.d,
         [float(p) for p in params.up_probs], inputs.q, inputs.T, req.kind.value,
     )
-    assert value_exact_parallel(req) == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+
+def test_partition_finer_than_the_row_grid():
+    # 2048 blocks of 2 paths each against rows of 4: the rows shrink to
+    # the blocks, so the sum has other addends than on one worker.
+    req = _request(12, 2048, PayoffKind.ASIAN_PUT)
+    assert make_partition(12, 2048).prefix_width == 11
+    got = value_exact_parallel(req)
+    assert got == pytest.approx(value_exact_parallel(replace(req, workers=1)), rel=1e-12)
+    assert got == pytest.approx(_brute(req), rel=1e-12, abs=1e-13)
+
+
+def test_infinities_of_both_signs_are_a_domain_error():
+    # +inf on path 0 and -inf on path 3 sum to NaN; math.fsum raises on them.
+    def signed_infinity(params, S0, K, path):
+        return {0: math.inf, 3: -math.inf}.get(path.code, 0.0)
+
+    req = replace(_request(2, 1, PayoffKind.EUROPEAN_CALL), kind=signed_infinity)
+    for workers in (1, 2, 3, 4):
+        with pytest.raises(NonFiniteValue):
+            value_exact_parallel(replace(req, workers=workers))
 
 
 @DETERMINISTIC
