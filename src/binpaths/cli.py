@@ -8,10 +8,8 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from .bench import records_to_csv, records_to_tables, run_bench
-from .errors import PricingError, ProbabilityOutOfRange
+from .errors import PricingError
 from .exact import (
     LARGE_DEPTH,
     ValuationRequest,
@@ -27,13 +25,12 @@ from .mc import (
     estimate_shared,
     run_repetitions,
 )
-from .model import MarketInputs, TreeParams, derive_crr, with_custom_probs
+from .model import MarketInputs, derive_crr, with_custom_probs
 from .payoffs import PAYOFF_NAMES, parse_payoff
 
 METHODS = ("exact", "exact-serial", "leaf", "mc", "pmc", "pmc-equal", "smc")
 MC_METHODS = ("mc", "pmc", "pmc-equal", "smc")
 ENUM_METHODS = ("exact", "exact-serial")
-STUDY_TABLES = ("mc-convergence", "pmc-variance", "smc-vs-pmc")
 STUDY_HEADER = "method,M-or-R,mean_estimate,mean_variance_estimate,empirical_variance"
 
 _ESTIMATORS = {
@@ -41,6 +38,13 @@ _ESTIMATORS = {
     "pmc": estimate_partitioned,
     "pmc-equal": estimate_partitioned_equal,
     "smc": estimate_shared,
+}
+# The estimators of each study table, in row order.  mc-convergence sweeps
+# R at M=1; the other tables sweep M at R = --samples.
+STUDY_TABLES = {
+    "mc-convergence": ("mc",),
+    "pmc-variance": ("pmc",),
+    "smc-vs-pmc": ("pmc-equal", "smc"),
 }
 
 
@@ -51,11 +55,23 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _int_list(text: str):
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _at_least(floor: int, many: bool = False):
+    """argparse type: one integer, or a comma list of them, none below floor."""
+    def parse(text: str):
+        parts = text.split(",") if many else [text]
+        try:
+            values = [int(part) for part in parts]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected integers, got {text!r}")
+        if min(values) < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {text!r}")
+        return values if many else values[0]
+    return parse
+
+
+_count = _at_least(1)
+_counts = _at_least(1, many=True)
+_seed = _at_least(0)
 
 
 def _add_market_flags(sp, with_n: bool = True) -> None:
@@ -80,39 +96,37 @@ def build_parser() -> argparse.ArgumentParser:
     price = sub.add_parser("price", help="value one contract")
     _add_market_flags(price)
     price.add_argument("--method", required=True, choices=METHODS)
-    price.add_argument("--workers", type=int, default=1,
+    price.add_argument("--workers", type=_count, default=1,
                        help="exact partition ranks or MC stratum count M")
-    price.add_argument("--samples", type=int, help="MC draws R per repetition")
-    price.add_argument("--seed", type=int, default=0)
-    price.add_argument("--reps", type=int, default=1,
+    price.add_argument("--samples", type=_count, help="MC draws R per repetition")
+    price.add_argument("--seed", type=_seed, default=0)
+    price.add_argument("--reps", type=_count, default=1,
                        help="independent repetitions averaged in the report")
     price.add_argument("--probs", type=_float_list,
                        help="comma list of N per-step up probabilities")
     price.add_argument("--force-large", action="store_true",
                        help="allow exact enumeration beyond N=28")
-    price.add_argument("--eval-threads", type=int, default=1,
+    price.add_argument("--eval-threads", type=_count, default=1,
                        help="threads for MC stratum evaluation (results unchanged)")
     price.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-    price.add_argument("--override-u", type=float, help=argparse.SUPPRESS)
-    price.add_argument("--override-p", type=float, help=argparse.SUPPRESS)
     price.set_defaults(handler=cmd_price)
 
     study = sub.add_parser("study", help="repetition-averaged estimator tables")
     _add_market_flags(study)
     study.add_argument("--table", required=True, choices=STUDY_TABLES)
-    study.add_argument("--R-list", type=_int_list, dest="R_list")
-    study.add_argument("--M-list", type=_int_list, dest="M_list")
-    study.add_argument("--samples", type=int, help="R used by the M sweeps")
-    study.add_argument("--seed", type=int, default=0)
-    study.add_argument("--reps", type=int, default=1000)
+    study.add_argument("--R-list", type=_counts, dest="R_list")
+    study.add_argument("--M-list", type=_counts, dest="M_list")
+    study.add_argument("--samples", type=_count, help="R used by the M sweeps")
+    study.add_argument("--seed", type=_seed, default=0)
+    study.add_argument("--reps", type=_count, default=1000)
     study.add_argument("--probs", type=_float_list)
     study.set_defaults(handler=cmd_study)
 
     bench = sub.add_parser("bench", help="scaling grid for the exact engine")
     _add_market_flags(bench, with_n=False)
-    bench.add_argument("--N-list", required=True, type=_int_list, dest="N_list")
-    bench.add_argument("--M-list", required=True, type=_int_list, dest="M_list")
-    bench.add_argument("--reps", type=int, default=3,
+    bench.add_argument("--N-list", required=True, type=_counts, dest="N_list")
+    bench.add_argument("--M-list", required=True, type=_counts, dest="M_list")
+    bench.add_argument("--reps", type=_count, default=3,
                        help="timing repetitions per cell; the median is kept")
     bench.add_argument("--force-large", action="store_true")
     bench.add_argument("--format", choices=("csv", "plain"), default="csv")
@@ -134,31 +148,7 @@ def _tree_for(args, n: int):
         params = with_custom_probs(inputs, probs)
     else:
         params = derive_crr(inputs)
-    u_over = getattr(args, "override_u", None)
-    p_over = getattr(args, "override_p", None)
-    if u_over is not None or p_over is not None:
-        u = u_over if u_over is not None else params.u
-        if u <= 1.0:
-            raise ProbabilityOutOfRange(f"override u must exceed 1, got {u!r}")
-        if p_over is not None:
-            if not 0.0 < p_over < 1.0:
-                raise ProbabilityOutOfRange(
-                    f"override p {p_over!r} is outside the open interval (0, 1)"
-                )
-            up_probs = np.full(n, float(p_over))
-        else:
-            up_probs = params.up_probs
-        params = TreeParams(dt=params.dt, u=u, d=1.0 / u, beta=0.5 * (u + 1.0 / u),
-                            up_probs=up_probs)
     return inputs, params
-
-
-def _positive(args, names) -> str:
-    for name in names:
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None and value < 1:
-            return f"--{name} must be at least 1"
-    return ""
 
 
 def _print_report(report: dict, fmt: str) -> None:
@@ -174,16 +164,8 @@ def _print_report(report: dict, fmt: str) -> None:
 
 
 def cmd_price(args) -> int:
-    msg = _positive(args, ("workers", "reps", "eval-threads"))
-    if msg:
-        return _usage_error(msg)
-    if args.seed < 0:
-        return _usage_error("--seed must be nonnegative")
-    if args.method in MC_METHODS:
-        if args.samples is None:
-            return _usage_error(f"--samples is required for method {args.method}")
-        if args.samples < 1:
-            return _usage_error("--samples must be at least 1")
+    if args.method in MC_METHODS and args.samples is None:
+        return _usage_error(f"--samples is required for method {args.method}")
     if args.method in ENUM_METHODS and args.N > LARGE_DEPTH and not args.force_large:
         return _usage_error(
             f"exact enumeration at N={args.N} visits 2^{args.N} paths; "
@@ -241,65 +223,31 @@ def cmd_price(args) -> int:
     return 0
 
 
-def _study_rows(args, req):
-    if args.table == "mc-convergence":
-        if not args.R_list:
-            raise _StudyUsage("--R-list is required for table mc-convergence")
-        for r in args.R_list:
-            cfg = McConfig(R=r, M=1, seed=args.seed, reps=args.reps)
-            summary = run_repetitions(estimate_basic, req, cfg)
-            yield "mc", r, summary
-        return
-    if not args.M_list:
-        raise _StudyUsage(f"--M-list is required for table {args.table}")
-    if args.samples is None:
-        raise _StudyUsage(f"--samples is required for table {args.table}")
-    if args.table == "pmc-variance":
-        for m in args.M_list:
-            cfg = McConfig(R=args.samples, M=m, seed=args.seed, reps=args.reps)
-            summary = run_repetitions(estimate_partitioned, req, cfg)
-            yield "pmc", m, summary
-        return
-    for m in args.M_list:
-        cfg = McConfig(R=args.samples, M=m, seed=args.seed, reps=args.reps)
-        for tag, estimator in (("pmc-equal", estimate_partitioned_equal),
-                               ("smc", estimate_shared)):
-            summary = run_repetitions(estimator, req, cfg)
-            yield tag, m, summary
-
-
-class _StudyUsage(Exception):
-    pass
-
-
 def cmd_study(args) -> int:
-    msg = _positive(args, ("reps",))
-    if msg:
-        return _usage_error(msg)
-    if args.seed < 0:
-        return _usage_error("--seed must be nonnegative")
+    r_sweep = args.table == "mc-convergence"
+    for flag in ("R_list",) if r_sweep else ("M_list", "samples"):
+        if getattr(args, flag) is None:
+            return _usage_error(
+                f"--{flag.replace('_', '-')} is required for table {args.table}"
+            )
     inputs, params = _tree_for(args, args.N)
     kind = parse_payoff(args.payoff)
     req = ValuationRequest(inputs=inputs, params=params, kind=kind)
     lines = [STUDY_HEADER]
-    try:
-        for tag, sweep, summary in _study_rows(args, req):
+    for sweep in args.R_list if r_sweep else args.M_list:
+        R, M = (sweep, 1) if r_sweep else (args.samples, sweep)
+        cfg = McConfig(R=R, M=M, seed=args.seed, reps=args.reps)
+        for tag in STUDY_TABLES[args.table]:
+            summary = run_repetitions(_ESTIMATORS[tag], req, cfg)
             lines.append(
                 f"{tag},{sweep},{summary.mean_value!r},"
                 f"{summary.mean_variance!r},{summary.empirical_variance!r}"
             )
-    except _StudyUsage as exc:
-        return _usage_error(str(exc))
     print("\n".join(lines))
     return 0
 
 
 def cmd_bench(args) -> int:
-    msg = _positive(args, ("reps",))
-    if msg:
-        return _usage_error(msg)
-    if any(n < 1 for n in args.N_list) or any(m < 1 for m in args.M_list):
-        return _usage_error("--N-list and --M-list entries must be at least 1")
     if any(m2 <= m1 for m1, m2 in zip(args.M_list, args.M_list[1:])):
         return _usage_error("--M-list must be strictly ascending")
     too_deep = [n for n in args.N_list if n > LARGE_DEPTH]

@@ -109,8 +109,9 @@ class TreeParams:
 
 
 def _check_probs_open_interval(probs: np.ndarray) -> None:
-    if np.any(probs <= 0.0) or np.any(probs >= 1.0):
-        bad = float(probs[(probs <= 0.0) | (probs >= 1.0)][0])
+    outside = ~((probs > 0.0) & (probs < 1.0))  # NaN is outside too
+    if np.any(outside):
+        bad = float(probs[outside][0])
         raise ProbabilityOutOfRange(
             f"up probability {bad!r} is outside the open interval (0, 1)"
         )
@@ -122,31 +123,37 @@ def derive_crr(inputs: MarketInputs) -> TreeParams:
     The sigma = 0 case is handled separately: the two-moment match
     degenerates to u = exp(q*dt), d = 1/u and the up probability is
     exactly one, which keeps the deterministic forward path without
-    running 0/0 through the general formula.
+    running 0/0 through the general formula.  Either way, move sizes
+    beyond double precision raise NonFiniteValue.
     """
     dt = inputs.T / inputs.N
-    if inputs.sigma == 0.0:
-        u = math.exp(inputs.q * dt)
-        beta = 0.5 * (u + 1.0 / u)
-        probs = np.full(inputs.N, 1.0)
-        return TreeParams(dt=dt, u=u, d=1.0 / u, beta=beta, up_probs=probs)
-
     try:
-        beta = 0.5 * (
-            math.exp(-inputs.q * dt) + math.exp((inputs.q + inputs.sigma**2) * dt)
-        )
-    except OverflowError:
+        growth = math.exp(inputs.q * dt)
+        if inputs.sigma == 0.0:
+            beta = 0.5 * (growth + 1.0 / growth)
+        else:
+            beta = 0.5 * (
+                math.exp(-inputs.q * dt) + math.exp((inputs.q + inputs.sigma**2) * dt)
+            )
+    except (OverflowError, ZeroDivisionError):
+        beta = math.inf
+    # 1/u of a subnormal u, or the sum of two large exps, reaches inf silently.
+    if math.isinf(beta):
         raise NonFiniteValue(
-            f"the move size exp((q + sigma^2) * T / N) overflows at q={inputs.q}, "
+            f"the move sizes leave double precision at q={inputs.q}, "
             f"sigma={inputs.sigma}, T/N={dt}"
-        ) from None
+        )
+    if inputs.sigma == 0.0:
+        probs = np.full(inputs.N, 1.0)
+        return TreeParams(dt=dt, u=growth, d=1.0 / growth, beta=beta, up_probs=probs)
+
     u = beta + math.sqrt(beta * beta - 1.0)
     d = 1.0 / u
     if not u > d:
         raise ProbabilityOutOfRange(
             f"degenerate lattice: u={u!r} does not exceed d={d!r}"
         )
-    p = (math.exp(inputs.q * dt) - d) / (u - d)
+    p = (growth - d) / (u - d)
     if not 0.0 < p < 1.0:
         raise ProbabilityOutOfRange(
             f"up probability {p!r} is outside the open interval (0, 1)"

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from binpaths.cli import main
+from binpaths.cli import METHODS, main
 
 DESK = [
     "--payoff", "asian-put", "--S0", "20", "--K", "100",
@@ -25,16 +25,21 @@ def price_json(capsys, *argv):
     return json.loads(out)
 
 
-def test_hand_example_with_overrides(capsys):
-    report = price_json(
-        capsys,
-        "--method", "exact", "--payoff", "euro-put", "--S0", "4", "--K", "5",
-        "--q", "0", "--sigma", "0.30", "--T", "1", "--N", "2",
-        "--override-u", "2", "--override-p", "0.5",
-    )
+# At q=0, T=1, N=2 this sigma makes derive_crr's u exactly 2; with fair
+# coins the euro-put on S0=4, K=5 is worth (5-1)/4 + (5-4)/2 = 1.5.
+HAND = [
+    "--payoff", "euro-put", "--S0", "4", "--K", "5", "--q", "0",
+    "--sigma", "0.9005166385005492", "--T", "1", "--N", "2", "--probs", "0.5,0.5",
+]
+
+
+def test_hand_example_without_override_flags(capsys):
+    report = price_json(capsys, "--method", "exact", *HAND)
     assert report["value"] == pytest.approx(1.5, abs=1e-12)
     assert report["method"] == "exact"
     assert report["R"] == 0 and report["variance"] == 0.0
+    code, out, _ = run_cli(capsys, "price", "--method", "exact", *HAND, "--override-u", "2")
+    assert code == 2 and out == ""
 
 
 def test_report_has_exact_key_set_in_order(capsys):
@@ -196,6 +201,21 @@ def test_non_finite_mc_results_exit_three(capsys, method, extra, fmt):
     ))
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("market", [
+    [*DESK, "--N", "4", "--probs", "nan,0.5,0.5,0.5"],
+    # sigma = 0: the move size exp(q * T / N) or its inverse overflows.
+    ["--payoff", "euro-call", "--S0", "1", "--K", "1", "--q", "800",
+     "--sigma", "0", "--T", "1", "--N", "1"],
+    ["--payoff", "euro-call", "--S0", "1", "--K", "1", "--q", "-800",
+     "--sigma", "0", "--T", "1", "--N", "1"],
+], ids=["nan-probs", "sigma0-q800", "sigma0-q-800"])
+def test_out_of_domain_trees_exit_three_on_every_method(capsys, method, market):
+    assert_one_error_line(*run_cli(
+        capsys, "price", "--method", method, *market, "--samples", "64",
+    ))
+
+
 def test_non_finite_study_rows_exit_three(capsys):
     assert_one_error_line(*run_cli(
         capsys, "study", "--table", "mc-convergence", *EXTREME, "--N", "20", *FAIR_20,
@@ -203,12 +223,30 @@ def test_non_finite_study_rows_exit_three(capsys):
     ))
 
 
-def test_negative_seed_is_usage_error(capsys):
-    code, _, err = run_cli(
-        capsys, "price", "--method", "mc", "--N", "12", "--samples", "64",
-        "--seed", "-1", *DESK,
-    )
+VALID_CALLS = {
+    "price": ["price", "--method", "pmc", "--N", "4", "--samples", "64", *DESK],
+    "study": ["study", "--table", "pmc-variance", "--M-list", "1", "--samples", "64",
+              "--reps", "2", "--N", "4", *DESK],
+    "bench": ["bench", "--N-list", "4", "--M-list", "1", "--reps", "1", *DESK],
+}
+BELOW_FLOOR = [
+    *[("price", flag, "0") for flag in ("--workers", "--reps", "--eval-threads", "--samples")],
+    ("price", "--seed", "-1"),
+    *[("study", flag, "0") for flag in ("--reps", "--samples", "--R-list", "--M-list")],
+    ("study", "--seed", "-1"),
+    *[("bench", flag, "0") for flag in ("--reps", "--N-list", "--M-list")],
+]
+
+
+@pytest.mark.parametrize("command, flag, value", BELOW_FLOOR,
+                         ids=[" ".join(case) for case in BELOW_FLOOR])
+def test_count_flags_below_their_floor_are_usage_errors(capsys, command, flag, value):
+    # argparse converts every occurrence of a flag, so appending the bad
+    # value to a valid call must fail even where the call already set it.
+    code, out, err = run_cli(capsys, *VALID_CALLS[command], flag, value)
     assert code == 2
+    assert out == ""
+    assert f"argument {flag}" in err
 
 
 def test_csv_and_plain_formats(capsys):

@@ -1,4 +1,10 @@
-"""Property tests: the exact engine, the partition and the allocation.
+"""Property tests: the input domain, the exact engine, the partition and
+the allocation.
+
+Every market input and per-step probability vector, NaN, infinities,
+subnormals and overflowing rates included, either builds a tree with
+finite positive move sizes and probabilities in (0, 1) (exactly 1 on the
+sigma = 0 lattice) or raises a PricingError.
 
 The exact engine is checked against the brute-force oracle on random
 markets, constant (CRR) and per-step probabilities, and every worker
@@ -23,6 +29,7 @@ from binpaths import (
     MarketInputs,
     NonFiniteValue,
     PayoffKind,
+    PricingError,
     ProbabilityOutOfRange,
     TreeParams,
     ValuationRequest,
@@ -45,6 +52,63 @@ DETERMINISTIC = settings(
     max_examples=80,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+# NaN, the infinities, signed zeros, one, subnormals, and rates whose
+# step growth |q * dt| passes log(max float) ~ 709.78.
+EDGES = st.floats() | st.sampled_from([
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 5e-324, 2.2e-308,
+    710.0, -710.0, 800.0, -800.0, 1e308, -1e308,
+])
+# Valid ranges; the rates pass |q * dt| > 709 once T/N nears 1.
+FIELDS = {
+    "S0": st.floats(0.01, 100.0),
+    "K": st.floats(0.0, 100.0),
+    "q": st.floats(-800.0, 800.0),
+    "sigma": st.floats(0.0, 3.0),
+    "T": st.floats(0.01, 10.0),
+}
+
+
+@st.composite
+def tree_inputs(draw):
+    """Market fields, at most one of them from EDGES, and half the time a
+    per-step probability vector with at most one entry from EDGES."""
+    awkward = draw(st.sets(st.sampled_from(sorted(FIELDS)), max_size=1))
+    fields = {name: draw(EDGES if name in awkward else valid)
+              for name, valid in FIELDS.items()}
+    fields["N"] = draw(st.integers(1, 8))
+    n = fields["N"]
+    if not draw(st.booleans()):
+        return fields, None
+    probs = draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n))
+    if probs and draw(st.booleans()):
+        probs[draw(st.integers(0, n - 1))] = draw(EDGES)
+    return fields, probs
+
+
+DESK_FIELDS = dict(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=4)
+STILL = dict(S0=1.0, K=1.0, sigma=0.0, T=1.0, N=1)
+
+
+@DETERMINISTIC
+@given(tree_inputs())
+@example((DESK_FIELDS, [math.nan, 0.5, 0.5, 0.5]))  # NaN passed both comparisons
+@example((dict(STILL, q=800.0), None))  # sigma = 0: exp(q*dt) overflowed
+@example((dict(STILL, q=-800.0), None))  # sigma = 0: 1 / exp(q*dt) divided by 0
+def test_inputs_give_a_finite_tree_or_a_domain_error(case):
+    fields, probs = case
+    try:
+        inputs = MarketInputs(**fields)
+        params = derive_crr(inputs) if probs is None else with_custom_probs(inputs, probs)
+    except PricingError:
+        return
+    for move in (params.u, params.d):
+        assert math.isfinite(move) and move > 0.0
+    if inputs.sigma == 0.0 and probs is None:
+        assert np.all(params.up_probs == 1.0)
+    else:
+        assert np.all((params.up_probs > 0.0) & (params.up_probs < 1.0))
 
 
 @st.composite
