@@ -239,9 +239,10 @@ def cmd_study(args) -> int:
         cfg = McConfig(R=R, M=M, seed=args.seed, reps=args.reps)
         for tag in STUDY_TABLES[args.table]:
             summary = run_repetitions(_ESTIMATORS[tag], req, cfg)
+            # One repetition cannot estimate a variance: the field stays empty.
+            empirical = repr(summary.empirical_variance) if cfg.reps > 1 else ""
             lines.append(
-                f"{tag},{sweep},{summary.mean_value!r},"
-                f"{summary.mean_variance!r},{summary.empirical_variance!r}"
+                f"{tag},{sweep},{summary.mean_value!r},{summary.mean_variance!r},{empirical}"
             )
     print("\n".join(lines))
     return 0

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,11 +121,7 @@ def _rank_value(req: ValuationRequest, partition: PathPartition, rank: int, tabl
     # Reused by every batch: fresh batch-sized arrays cost a page fault per
     # 4 KB whenever the allocator has returned the last batch's to the OS.
     buf = np.empty((min(step, span), 1 << s))
-    # A ufunc buffer that spans several batch rows makes NumPy copy the
-    # broadcast operands (prefix columns, suffix weights) through it, which
-    # halves the speed of those steps; a buffer of at most one row avoids it.
-    bufsize = np.setbufsize(min(np.getbufsize(), 1 << max(s, 4)))
-    try:
+    with row_buffer(1 << s):
         for v in partition.blocks[rank]:
             for lo in range(v * span, (v + 1) * span, step):
                 hi = min(lo + step, (v + 1) * span)
@@ -136,9 +133,23 @@ def _rank_value(req: ValuationRequest, partition: PathPartition, rank: int, tabl
                     values = payoff_batch(kind, req.params, S0, K, bits).reshape(hi - lo, -1)
                 inner = np.sum(np.multiply(values, suffix.weight, out=values), axis=1)
                 partials.append(prefix.weight[lo:hi] * inner)
-    finally:
-        np.setbufsize(bufsize)
     return np.concatenate(partials)
+
+
+@contextmanager
+def row_buffer(row: int):
+    """Cap NumPy's ufunc buffer at one batch row of `row` elements, then restore it.
+
+    A buffer that spans several rows of a batch makes NumPy copy the
+    broadcast operands (prefix columns, suffix weights) through it, which
+    halves the speed of those steps.  The cap is per thread, so each pool
+    thread sets its own.
+    """
+    saved = np.setbufsize(min(np.getbufsize(), max(16, row & -16)))
+    try:
+        yield
+    finally:
+        np.setbufsize(saved)
 
 
 def usable_cores() -> int:
@@ -219,6 +230,6 @@ def value_leaf_formula(req: ValuationRequest) -> float:
     # Each leaf is the end state of whole paths, extended by the empty
     # word; a European payoff reads nothing but the last price.
     leaves = PathTable(weights, leaf_prices(req.params, req.inputs.S0), None, None)
-    values = join_payoff(req.kind, req.inputs.K, n, leaves, path_table((), 1.0, 1.0, 1.0))[:, 0]
+    values = join_payoff(req.kind, req.inputs.K, n, leaves, path_table((), 1.0, 1.0, 1.0))
     disc = math.exp(-req.inputs.q * req.inputs.T)
     return _finite(disc * float(np.dot(weights, values)))

@@ -15,8 +15,15 @@ One prefix table per call, built from S0 by path_table, holds every
 stratum's mass (its weight) and its state after r steps, and a
 RowSummary of the sampled suffix rows extends that state to whole
 paths.  The basic estimator is the case r = 0, through payoff_batch.
-The shared estimator joins all M prefix rows with its one sample in
-chunks of rows, reduced in chunk order whatever the thread count.
+The stratified estimators work in chunks of consecutive whole strata,
+about CHUNK sampled bits each: every stratum of a chunk draws from its
+own stream into the chunk's bit matrix, one join_payoff call joins the
+draws with their strata's prefix states path by path, and one segmented
+reduction gives every stratum's mean and squared-deviation sum.  The
+shared estimator joins all M prefix rows with its one sample in chunks
+of rows.  eval_threads maps either estimator's chunks over a thread
+pool; chunk bounds depend on the allocation (or R) and N alone, and the
+chunks are reduced in order, whatever the thread count.
 
 Streams are keyed by (master seed, stratum index, repetition index)
 through a counter-based generator, so results are reproducible and do
@@ -40,7 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InfeasibleAllocation, InvalidInput, InvalidWorkerCount, quiet_non_finite
-from .exact import CHUNK, ValuationRequest, _finite, _map_in_order
+from .exact import CHUNK, ValuationRequest, _finite, _map_in_order, row_buffer
 from .paths import (
     BernoulliPath,
     PathPartition,
@@ -49,7 +56,6 @@ from .paths import (
     block_probabilities,
     block_probability,  # noqa: F401  the benchmark's tracer wraps mc.block_probability
     codes_to_bits,
-    make_partition,
     path_table,
 )
 from .payoffs import PayoffKind, join_payoff, payoff_batch
@@ -130,12 +136,17 @@ def _prefix_table(req: ValuationRequest, M: int) -> PathTable:
 
     The weights are the stratum masses, bit for bit block_probability's.
     """
+    n = req.inputs.N
     if M & (M - 1) != 0:
         raise InvalidWorkerCount(
             f"stratum count must be a power of two, got {M}"
         )
-    r = make_partition(req.inputs.N, M).prefix_width
+    if M > 1 << n:
+        raise InvalidWorkerCount(
+            f"stratum count {M} exceeds the {1 << n} paths of an {n}-step tree"
+        )
     params = req.params
+    r = M.bit_length() - 1
     return path_table(params.up_probs[:r], params.u, params.d, req.inputs.S0)
 
 
@@ -153,10 +164,54 @@ def _extend(req: ValuationRequest, prefix: PathTable, lo: int, hi: int,
     return payoff_batch(kind, req.params, req.inputs.S0, K, bits).reshape(hi - lo, -1)
 
 
+def _extend_draws(req: ValuationRequest, prefix: PathTable, lo: int, hi: int,
+                  draws: np.ndarray, suffix: RowSummary) -> np.ndarray:
+    """Payoffs of prefix lo + i extended by its own draws[i] suffix rows, in row order.
+
+    The prefix states are repeated once per draw and joined with the
+    suffix rows elementwise, as 1-D arrays; a single prefix's state
+    broadcasts over its draws as it is.
+    """
+    kind, K = req.kind, req.inputs.K
+    if isinstance(kind, PayoffKind):
+        def per_draw(a):
+            return a[lo:hi] if hi - lo == 1 else np.repeat(a[lo:hi], draws)
+        heads = PathTable(None, per_draw(prefix.last), per_draw(prefix.total), per_draw(prefix.low))
+        return join_payoff(kind, K, req.inputs.N, heads, suffix)
+    r = prefix.weight.shape[0].bit_length() - 1
+    heads = codes_to_bits(np.repeat(np.arange(lo, hi, dtype=np.uint64), draws), r)
+    return payoff_batch(kind, req.params, req.inputs.S0, K, np.hstack((heads, suffix.bits)))
+
+
 def _mean_sse(values: np.ndarray) -> tuple:
     """Mean of payoff draws and the sum of their squared deviations."""
     theta = float(values.mean())
     return theta, float(np.sum((values - theta) ** 2))
+
+
+def _segment_mean_sse(values: np.ndarray, counts: np.ndarray) -> tuple:
+    """_mean_sse of each run of counts[i] consecutive values, as two arrays.
+
+    One segmented reduction, np.add.reduceat, over a copy of the values
+    with a zero in front of every run.  reduceat starts a run's sum from
+    its first element and adds the rest pairwise; starting from that
+    zero, each run adds up exactly as values[a:b].sum() does, so every
+    mean and SSE is _mean_sse's, bit for bit.  An empty run gives 0, 0.
+    A single run (a stratum of CHUNK bits or more) skips the copy.
+    """
+    if counts.shape[0] == 1 and counts[0]:
+        theta, sse = _mean_sse(values)
+        return np.array([theta]), np.array([sse])
+    lead = np.cumsum(counts + 1) - (counts + 1)
+    padded = np.zeros(values.shape[0] + counts.shape[0])
+    body = np.ones(padded.shape[0], dtype=bool)
+    body[lead] = False
+    padded[body] = values
+    theta = np.add.reduceat(padded, lead) / np.maximum(counts, 1)
+    dev = np.subtract(padded, np.repeat(theta, counts + 1), out=padded)
+    dev *= dev
+    dev[lead] = 0.0
+    return theta, np.add.reduceat(dev, lead)
 
 
 def _estimate(req: ValuationRequest, cfg: McConfig, theta: float, var_theta: float,
@@ -201,59 +256,70 @@ def allocate_strata(partition: PathPartition, params, R: int) -> list:
     positive stratum empty.  Ties break toward the lower rank so the
     result is deterministic.
     """
-    return _allocate(block_probabilities(params, partition), R)
+    return _allocate(np.array(block_probabilities(params, partition)), R).tolist()
 
 
-def _allocate(masses: list, R: int) -> list:
-    count = len(masses)
-    positive = [m for m, mass in enumerate(masses) if mass > 0.0]
-    if R < len(positive):
+def _allocate(masses: np.ndarray, R: int) -> np.ndarray:
+    positive = masses > 0.0
+    if R < np.count_nonzero(positive):
         raise InfeasibleAllocation(
-            f"R={R} draws cannot cover {len(positive)} strata with positive mass"
+            f"R={R} draws cannot cover {np.count_nonzero(positive)} strata with positive mass"
         )
-    targets = [R * mass for mass in masses]
-    alloc = [int(math.floor(t)) for t in targets]
-    remainder = R - sum(alloc)
-    by_fraction = sorted(range(count), key=lambda m: (-(targets[m] - alloc[m]), m))
-    for m in by_fraction[:remainder]:
-        alloc[m] += 1
-    def spare(m: int) -> int:
-        return alloc[m] - (1 if masses[m] > 0.0 else 0)
-
-    while True:
-        starved = [m for m in positive if alloc[m] == 0]
-        if not starved:
-            break
-        donor = max(range(count), key=lambda m: (spare(m), -m))
-        alloc[donor] -= 1
-        alloc[starved[0]] += 1
-    return alloc
+    targets = R * masses
+    alloc = np.floor(targets).astype(np.int64)
+    # The remainder goes to the largest fractional parts, lower index first.
+    by_fraction = np.lexsort((np.arange(masses.shape[0]), alloc - targets))
+    alloc[by_fraction[:R - int(alloc.sum())]] += 1
+    # Draws beyond the one each positive stratum keeps.  A positive
+    # stratum that rounding left empty (spare -1), in index order, takes
+    # one from the largest spare, lower index first.
+    spare = alloc - positive
+    for m in np.flatnonzero(spare < 0):
+        spare[np.argmax(spare)] -= 1
+        spare[m] += 1
+    return spare + positive
 
 
 def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: int,
-                prefix: PathTable, alloc: list, var_theta: Callable,
+                prefix: PathTable, alloc: np.ndarray, var_theta: Callable,
                 method: str) -> Estimate:
     """Stratum m joins prefix row m with alloc[m] suffixes of its own stream.
 
-    var_theta maps the strata's squared-deviation sums to the variance
-    of the combined estimate on the theta scale.
+    Strata are evaluated in chunks of consecutive whole strata holding
+    about CHUNK sampled bits; a stratum opens a new chunk when its first
+    bit passes a multiple of CHUNK, so the chunks depend on the
+    allocation and N alone and threads change no result.  A chunk
+    samples each of its strata from that stratum's stream into one bit
+    matrix, summarises it with one RowSummary, joins it with the
+    repeated prefix states in one join_payoff call and reduces every
+    stratum's mean and squared-deviation sum in one segmented reduction.
+    var_theta maps those sums to the variance of the combined estimate
+    on the theta scale.
     """
     params = req.params
     probs = params.up_probs[cfg.M.bit_length() - 1:]
+    # A draw with no suffix steps (M = 2^N) still costs one path.
+    first_bit = (np.cumsum(alloc) - alloc) * max(1, probs.shape[0])
+    bounds = np.append(np.unique(first_bit // CHUNK, return_index=True)[1], cfg.M).tolist()
 
-    def stats(m: int) -> tuple:
-        if alloc[m] == 0:
-            return 0.0, 0.0
-        bits = sample_bits(mc_stream(cfg.seed, m, rep), probs, alloc[m])
-        suffix = RowSummary(bits, params.u, params.d)
-        return _mean_sse(_extend(req, prefix, m, m + 1, suffix)[0])
+    def chunk(c: int) -> tuple:
+        lo, hi = bounds[c], bounds[c + 1]
+        draws = alloc[lo:hi]
+        bits = np.empty((int(draws.sum()), probs.shape[0]), dtype=bool)
+        row = 0
+        for m, count in enumerate(draws.tolist(), lo):
+            if count:
+                bits[row:row + count] = sample_bits(mc_stream(cfg.seed, m, rep), probs, count)
+                row += count
+        values = _extend_draws(req, prefix, lo, hi, draws, RowSummary(bits, params.u, params.d))
+        return _segment_mean_sse(values, draws)
 
-    per = _map_in_order(stats, cfg.M, eval_threads)
-    thetas = np.array([t for t, _ in per])
-    sses = np.array([s for _, s in per])
+    per = _map_in_order(chunk, len(bounds) - 1, eval_threads)
+    thetas = np.concatenate([t for t, _ in per])
+    sses = np.concatenate([s for _, s in per])
     return _estimate(
-        req, cfg, float(np.sum(thetas * prefix.weight)), var_theta(sses), sum(alloc),
-        method, tuple((m, alloc[m], per[m][0]) for m in range(cfg.M)),
+        req, cfg, float(np.sum(thetas * prefix.weight)), var_theta(sses), int(alloc.sum()),
+        method, tuple(zip(range(cfg.M), alloc.tolist(), thetas.tolist())),
     )
 
 
@@ -272,7 +338,7 @@ def estimate_partitioned(req: ValuationRequest, cfg: McConfig, rep: int = 0,
             f"partitioned estimator needs R >= M, got R={cfg.R}, M={cfg.M}"
         )
     prefix = _prefix_table(req, cfg.M)
-    alloc = _allocate(prefix.weight.tolist(), cfg.R)
+    alloc = _allocate(prefix.weight, cfg.R)
     return _stratified(req, cfg, rep, eval_threads, prefix, alloc,
                        lambda sses: float(np.sum(sses)) / (cfg.R * cfg.R),
                        "partitioned")
@@ -294,7 +360,7 @@ def estimate_partitioned_equal(req: ValuationRequest, cfg: McConfig, rep: int = 
     """
     prefix = _prefix_table(req, cfg.M)
     w = prefix.weight
-    return _stratified(req, cfg, rep, eval_threads, prefix, [cfg.R] * cfg.M,
+    return _stratified(req, cfg, rep, eval_threads, prefix, np.full(cfg.M, cfg.R),
                        lambda sses: float(np.sum(w * w * sses / (cfg.R * cfg.R))),
                        "partitioned-equal")
 
@@ -321,11 +387,12 @@ def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
 
     def chunk(c: int) -> tuple:
         lo, hi = c * step, min((c + 1) * step, cfg.M)
-        values = _extend(req, prefix, lo, hi, suffix)
-        means = values.mean(axis=1)
-        # Weighted in place: one rows x R array fewer per chunk.
-        np.multiply(values, prefix.weight[lo:hi, None], out=values)
-        return np.sum(values, axis=0), means
+        with row_buffer(cfg.R):
+            values = _extend(req, prefix, lo, hi, suffix)
+            means = values.mean(axis=1)
+            # Weighted in place: one rows x R array fewer per chunk.
+            np.multiply(values, prefix.weight[lo:hi, None], out=values)
+            return np.sum(values, axis=0), means
 
     chunks = _map_in_order(chunk, -(-cfg.M // step), eval_threads)
     theta, sse = _mean_sse(reduce(np.add, (inner for inner, _ in chunks)))

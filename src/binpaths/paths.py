@@ -168,9 +168,12 @@ class PathTable(NamedTuple):
     low: np.ndarray
 
     def rows(self, lo: int, hi: int) -> "PathTable":
-        """The states of words lo..hi-1, as views."""
-        return PathTable(self.weight[lo:hi], self.last[lo:hi], self.total[lo:hi],
-                         self.low[lo:hi])
+        """The states of words lo..hi-1 as (rows, 1) column views.
+
+        join_payoff broadcasts a column of prefix states against a whole
+        suffix table, one row of paths per prefix.
+        """
+        return PathTable(*(a[lo:hi, None] for a in self))
 
 
 def path_table(probs: np.ndarray, u: float, d: float, start: float) -> PathTable:

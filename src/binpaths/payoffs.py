@@ -54,17 +54,19 @@ def is_path_dependent(kind: PayoffLike) -> bool:
 
 def join_payoff(kind: PayoffKind, K: float, n: int, prefix: PathTable,
                 suffix: Union[PathTable, RowSummary], out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Built-in payoff of every n-step path prefix i + suffix j.
+    """Built-in payoff of n-step paths made of a prefix and a suffix state.
 
     The path kernel of every engine and the one kind dispatch.  prefix
-    holds one state per row (last price, price sum and minimum, from
-    S0); suffix holds last, total and low relative to the price it
-    starts from.  Entry (i, j) extends prefix row i by suffix j in a few
-    multiplies and adds, and each kind forms only the statistic it reads.
-    The result is built in place, in `out` when given: the exact engine
-    passes one buffer per rank, so its batches allocate nothing.
+    holds states from S0 (last price, price sum and minimum); suffix
+    holds last, total and low relative to the price it starts from.  The
+    two broadcast as NumPy arrays do: prefix columns (PathTable.rows)
+    against a suffix table give entry (i, j) for prefix row i and suffix
+    j, and equal-length 1-D states join path by path.  Each entry takes a
+    few multiplies and adds, and each kind forms only the statistic it
+    reads.  The result is built in place, in `out` when given: the exact
+    engine passes one buffer per rank, so its batches allocate nothing.
     """
-    e = prefix.last[:, None]
+    e = prefix.last
     if kind is PayoffKind.EUROPEAN_CALL:
         v = np.multiply(e, suffix.last, out=out)
         v -= K
@@ -73,14 +75,14 @@ def join_payoff(kind: PayoffKind, K: float, n: int, prefix: PathTable,
         np.subtract(K, v, out=v)
     elif kind is PayoffKind.ASIAN_PUT:
         v = np.multiply(e, suffix.total, out=out)
-        v += prefix.total[:, None]
+        v += prefix.total
         v /= n
         np.subtract(K, v, out=v)
     elif kind is PayoffKind.FIXED_LOOKBACK_PUT:
         # fmin: an empty suffix has low = +inf, and a prefix price that
         # underflowed to 0 turns it into NaN, which fmin skips.
         v = np.multiply(e, suffix.low, out=out)
-        np.fmin(prefix.low[:, None], v, out=v)
+        np.fmin(prefix.low, v, out=v)
         np.subtract(K, v, out=v)
     else:
         raise InvalidInput(f"unhandled payoff kind {kind!r}")
@@ -112,4 +114,4 @@ def payoff_batch(kind: PayoffLike, params: "TreeParams", S0: float, K: float,
             out[i] = kind(params, S0, K, p)
         return out
     start = path_table((), params.u, params.d, S0)
-    return join_payoff(kind, K, params.n_steps, start, RowSummary(bits, params.u, params.d))[0]
+    return join_payoff(kind, K, params.n_steps, start, RowSummary(bits, params.u, params.d))

@@ -55,3 +55,25 @@ def brute_code(bits):
     for b in bits:
         code = (code << 1) | b
     return code
+
+
+def brute_allocate(masses, R):
+    """Largest-remainder split of R draws by plain loops.
+
+    Floor R * mass, hand the remainder to the largest fractional parts
+    (lower index on ties), then, while a positive-mass stratum is left
+    empty, move one draw to the first such stratum from the stratum with
+    the most draws beyond the one it keeps (lower index on ties).
+    """
+    alloc = [math.floor(R * mass) for mass in masses]
+    by_fraction = sorted(range(len(masses)), key=lambda m: (alloc[m] - R * masses[m], m))
+    for m in by_fraction[:R - sum(alloc)]:
+        alloc[m] += 1
+    while True:
+        starved = [m for m, mass in enumerate(masses) if mass > 0.0 and alloc[m] == 0]
+        if not starved:
+            return alloc
+        spare = [a - (1 if mass > 0.0 else 0) for a, mass in zip(alloc, masses)]
+        donor = max(range(len(masses)), key=lambda m: (spare[m], -m))
+        alloc[donor] -= 1
+        alloc[starved[0]] += 1

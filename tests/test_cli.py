@@ -294,6 +294,25 @@ def test_study_header_and_table_shapes(capsys):
     assert tags == ["pmc-equal", "smc", "pmc-equal", "smc"]
 
 
+def test_study_single_repetition_leaves_empirical_variance_empty(capsys):
+    # One repetition cannot estimate a variance; price leaves the key out.
+    common = ["--N", "4", "--seed", "3", *DESK]
+    code, out, _ = run_cli(
+        capsys, "study", "--table", "mc-convergence", "--R-list", "64,128",
+        "--reps", "1", *common,
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [len(row) for row in rows] == [5, 5]
+    assert all(row[4] == "" and float(row[3]) > 0.0 for row in rows)
+    code, out, _ = run_cli(
+        capsys, "study", "--table", "mc-convergence", "--R-list", "64",
+        "--reps", "2", *common,
+    )
+    assert code == 0
+    assert float(out.strip().split("\n")[1].split(",")[4]) >= 0.0
+
+
 def test_study_missing_list_is_usage_error(capsys):
     code, _, err = run_cli(
         capsys, "study", "--table", "mc-convergence", "--N", "10", *DESK

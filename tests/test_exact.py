@@ -263,6 +263,20 @@ def test_tracing_hooks_resolve_and_callable_matches_builtin_twin(monkeypatch):
     assert calls["binpaths.mc.payoff_batch"] == 1
     assert calls["binpaths.mc.sample_bits"] == 1
 
+    # The stratified estimators draw each positive-mass stratum from its own
+    # stream, once, whatever chunk it falls in; p = 1 on step 3 leaves the
+    # even strata of M = 8 without mass.
+    six = MarketInputs(S0=5.0, K=10.0, q=0.06, sigma=0.30, T=1.0, N=6)
+    skewed = replace(derive_crr(six), up_probs=np.array([0.4, 0.5, 1.0, 0.5, 0.5, 0.5]))
+    for name in ("binpaths.mc.mc_stream", "binpaths.mc.sample_bits"):
+        calls[name] = 0
+    est = mc.estimate_partitioned(ValuationRequest(inputs=six, params=skewed,
+                                                   kind=PayoffKind.ASIAN_PUT),
+                                  mc.McConfig(R=64, M=8))
+    assert [draws > 0 for _, draws, _ in est.per_stratum] == [False, True] * 4
+    assert calls["binpaths.mc.mc_stream"] == 4
+    assert calls["binpaths.mc.sample_bits"] == 4
+
     def asian_put_clone(params, S0, K, path):
         return float(max(K - asset_path(params, S0, path).mean(), 0.0))
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,10 @@ from binpaths import (
     value_exact_serial,
     with_custom_probs,
 )
+from binpaths.exact import CHUNK
 from binpaths.mc import sample_bits
+from binpaths.paths import RowSummary, path_table
+from binpaths.payoffs import join_payoff
 
 from oracles import brute_payoff, brute_prices
 
@@ -188,6 +192,24 @@ def test_stratified_rejects_non_power_of_two():
             estimator(_desk_req(), McConfig(R=64, M=3, seed=0))
 
 
+def test_stratified_rejects_more_strata_than_paths():
+    # 2^13 strata of a 12-step tree; R is the smallest each estimator accepts.
+    for estimator, R in zip(STRATIFIED, (1 << 13, 1, 2)):
+        with pytest.raises(InvalidWorkerCount):
+            estimator(_desk_req(), McConfig(R=R, M=1 << 13, seed=0))
+
+
+@pytest.mark.parametrize("estimator", STRATIFIED)
+def test_single_stratum_beyond_one_chunk_is_bitwise_basic(estimator):
+    # 3,000 draws of 12 steps: more sampled bits than one chunk holds, and
+    # a stratum is never split.
+    cfg = McConfig(R=3000, M=1, seed=8)
+    assert 12 * cfg.R > CHUNK
+    base = estimate_basic(_desk_req(), cfg)
+    est = estimator(_desk_req(), cfg)
+    assert (est.value, est.variance, est.R_used) == (base.value, base.variance, base.R_used)
+
+
 @pytest.mark.parametrize("estimator", STRATIFIED)
 def test_single_stratum_is_bitwise_basic(estimator):
     cfg = McConfig(R=1024, M=1, seed=7)
@@ -255,6 +277,18 @@ def test_zero_mass_strata_are_skipped_not_sampled():
     terminal = 2.0 * params.u**8
     assert est.value == pytest.approx(math.exp(-0.05) * (terminal - 1.0), rel=1e-13)
 
+    # p = 0 on both prefix steps: stratum 0 fills more than a chunk, so the
+    # empty strata after it make a chunk of their own.
+    skewed = replace(DESK_PARAMS, up_probs=np.array([0.0, 0.0] + [0.4] * 10))
+    req = ValuationRequest(inputs=DESK, params=skewed, kind=PayoffKind.ASIAN_PUT)
+    cfg = McConfig(R=4000, M=4, seed=3)
+    assert 10 * cfg.R > CHUNK
+    est = estimate_partitioned(req, cfg)
+    assert [(draws, theta > 0.0) for _, draws, theta in est.per_stratum] == \
+        [(4000, True), (0, False), (0, False), (0, False)]
+    assert est.value == math.exp(-0.06) * est.per_stratum[0][2]
+    assert estimate_partitioned(req, cfg, eval_threads=2) == est
+
 
 def test_partitioned_draw_counts_follow_allocation():
     est = estimate_partitioned(_desk_req(), McConfig(R=1000, M=8, seed=2))
@@ -291,6 +325,51 @@ def test_eval_threads_do_not_change_results(estimator):
     for threads in (2, 4):
         threaded = estimator(_desk_req(), cfg, eval_threads=threads)
         assert threaded == lone
+
+
+def test_stratum_chunks_draw_each_stratum_from_its_stream_for_any_thread_count():
+    # M=1024 at N=16 leaves 6 sampled steps per draw, so R=32768 fills six
+    # chunks.  p = 1 on step 2 and p = 0 on step 7 take the mass from three
+    # strata in four, in runs of 8 that fall inside chunks.
+    inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=16)
+    probs = np.full(16, 0.3)
+    probs[1], probs[6] = 1.0, 0.0
+    params = replace(derive_crr(inputs), up_probs=probs)
+    req = ValuationRequest(inputs=inputs, params=params, kind=PayoffKind.ASIAN_PUT)
+    cfg = McConfig(R=32768, M=1024, seed=21)
+    est = estimate_partitioned(req, cfg)
+    draws = [d for _, d, _ in est.per_stratum]
+    assert 6 * sum(draws) > 5 * CHUNK
+    assert [d > 0 for d in draws[248:280]] == ([False] * 8 + [True] * 8) * 2
+    assert sum(d > 0 for d in draws) == 256
+    for threads in (2, 4):
+        assert estimate_partitioned(req, cfg, eval_threads=threads) == est
+    equal = estimate_partitioned_equal(req, McConfig(R=32, M=1024, seed=21))
+    for threads in (2, 4):
+        assert estimate_partitioned_equal(req, McConfig(R=32, M=1024, seed=21),
+                                          eval_threads=threads) == equal
+
+    # Stratum at a time, each mean and SSE is the chunked one, bit for bit.
+    heads = path_table(probs[:10], params.u, params.d, 20.0)
+    sses = np.zeros(1024)
+    for m in range(1024):
+        if draws[m]:
+            suffix = RowSummary(sample_bits(mc_stream(21, m, 0), probs[10:], draws[m]),
+                                params.u, params.d)
+            values = join_payoff(PayoffKind.ASIAN_PUT, 100.0, 16, heads.rows(m, m + 1), suffix)[0]
+            assert est.per_stratum[m][2] == float(values.mean())
+            sses[m] = np.sum((values - values.mean()) ** 2)
+        else:
+            assert est.per_stratum[m][2] == 0.0
+    assert est.variance == math.exp(-0.06) ** 2 * (float(np.sum(sses)) / 32768**2)
+
+    sampled = [m for m in range(1024) if draws[m]]
+    for m in sampled[::37]:
+        head = [(m >> (9 - t)) & 1 for t in range(10)]
+        rows = sample_bits(mc_stream(21, m, 0), probs[10:], draws[m]).tolist()
+        values = [brute_payoff("asian-put", brute_prices(20.0, params.u, params.d, head + row),
+                               100.0) for row in rows]
+        assert est.per_stratum[m][2] == pytest.approx(np.mean(values), rel=1e-12)
 
 
 def test_shared_chunks_match_brute_force_per_draw():

@@ -12,7 +12,7 @@ from binpaths import (
     payoff,
     payoff_batch,
 )
-from binpaths.paths import codes_to_bits, path_table
+from binpaths.paths import PathTable, codes_to_bits, path_table
 from binpaths.payoffs import join_payoff
 
 from oracles import brute_paths, brute_payoff, brute_prices
@@ -104,11 +104,17 @@ def test_join_payoff_fills_the_given_buffer():
         PayoffKind.FIXED_LOOKBACK_PUT: np.maximum(
             10.0 - np.fmin(prefix.low[:, None], e * suffix.low), 0.0),
     }
+    # Prefix columns against the suffix table, and the same 256 paths as
+    # equal-length 1-D states, joined path by path.
+    columns = prefix.rows(0, 8)
+    heads = PathTable(*(np.repeat(a, 32) for a in prefix))
+    tails = PathTable(*(np.tile(a, 8) for a in suffix))
     for kind in PayoffKind:
         buf = np.full((8, 32), np.nan)
-        assert join_payoff(kind, 10.0, 8, prefix, suffix, buf) is buf
+        assert join_payoff(kind, 10.0, 8, columns, suffix, buf) is buf
         assert np.array_equal(buf, reference[kind])
-        assert np.array_equal(join_payoff(kind, 10.0, 8, prefix, suffix), reference[kind])
+        assert np.array_equal(join_payoff(kind, 10.0, 8, columns, suffix), reference[kind])
+        assert np.array_equal(join_payoff(kind, 10.0, 8, heads, tails), reference[kind].ravel())
 
 
 def test_batch_matches_brute_force_reference():

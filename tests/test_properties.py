@@ -14,6 +14,10 @@ value.  For N <= 10 a row is one path (an empty suffix table); the
 explicit examples pin M = 2^N, round-robin deals and, at N = 16, rows
 of 2^6 paths.  A partition finer than the row grid is the one case
 where worker counts agree only to rounding.
+
+The stratum allocation is checked for its invariants and, on masses with
+zeros, exact ties and long thin tails up to M = 1024, against the
+plain-loop reference allocator in oracles.py, draw for draw.
 """
 
 import math
@@ -42,7 +46,9 @@ from binpaths import (
     with_custom_probs,
 )
 
-from oracles import brute_value
+from binpaths.mc import _allocate
+
+from oracles import brute_allocate, brute_value
 
 # Derandomized, so a tier-1 run draws the same examples every time.
 DETERMINISTIC = settings(
@@ -231,3 +237,30 @@ def test_allocation_invariants(case):
     for mass in set(masses):
         tied = [a for a, x in zip(alloc, masses) if x == mass]
         assert max(tied) - min(tied) <= 1
+
+
+@st.composite
+def stratum_masses(draw):
+    """Masses of up to 1,024 strata, with zeros, exact ties and long thin tails."""
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.integers(0, 4), min_size=1, max_size=40)), float)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        count = 1 << draw(st.integers(0, 10))
+        weights = rng.pareto(draw(st.sampled_from([0.5, 1.0, 3.0])), count)
+        weights[rng.random(count) < draw(st.floats(0.0, 0.9))] = 0.0
+    assume(weights.sum() > 0.0)
+    masses = (weights / weights.sum()).tolist()
+    positive = sum(mass > 0.0 for mass in masses)
+    return masses, draw(st.integers(positive, positive + 4 * len(masses)))
+
+
+@DETERMINISTIC
+@given(stratum_masses())
+# Four equal fractional parts: the remainder goes to the lower indices.
+@example(([0.25] * 4, 6))
+# One heavy stratum and 1,023 light ones: most of the light ones start empty.
+@example(([0.5] + [0.5 / 1023] * 1023, 1024))
+def test_allocation_matches_the_plain_loop_reference(case):
+    masses, R = case
+    assert _allocate(np.array(masses), R).tolist() == brute_allocate(masses, R)
