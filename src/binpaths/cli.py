@@ -262,7 +262,7 @@ def cmd_bench(args) -> int:
     if oversub:
         print(
             f"note: worker counts {oversub} exceed the {cores} available "
-            "cores; those cells measure oversubscription",
+            f"cores; the thread pool stays at {cores}, so those ranks share it",
             file=sys.stderr,
         )
 

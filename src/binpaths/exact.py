@@ -2,26 +2,25 @@
 
 The value is e^{-qT} * sum over every path of p(path) * payoff(path).
 Each path splits into a k-step prefix and an s = N - k step suffix, with
-k = min(N, max(N - SUFFIX_BITS, ROW_BITS)) unless the partition's prefix
-is wider.  Two tables built once per request hold the state of every
-prefix (from S0) and of every suffix (relative to the prefix's end):
-weight, last price, price sum and minimum.  join_payoff, the path
-kernel the Monte Carlo estimators share, extends a prefix state by a
-suffix entry in a few multiplies and adds, O(1) work per path.
-Callable payoffs have no summary: they fall back to decoding bit rows
-with codes_to_bits and calling payoff_batch, with the same table
-weights.
+k = min(N, max(N - SUFFIX_BITS, ROW_BITS)).  Two tables built once per
+request hold the state of every prefix (from S0) and of every suffix
+(relative to the prefix's end): weight, last price, price sum and
+minimum.  join_payoff, the path kernel the Monte Carlo estimators
+share, extends a prefix state by a suffix entry in a few multiplies and
+adds, O(1) work per path.  Callable payoffs have no summary: they fall
+back to decoding bit rows with codes_to_bits and calling payoff_batch,
+with the same table weights.
 
 A prefix row, one prefix and all of its suffixes, is the one unit of
 reduction.  Workers own whole rows through the blocks of a PathPartition
 and return one partial per row; the partials of all ranks are summed
 once with math.fsum, which is exactly rounded and so independent of
-their order, and discounted once.  Row partials depend on N alone, so
-every worker count gives the same bits, except where a partition block
-is narrower than a row (possible only for N > 10, with M > 1024 or a
-round-robin M > 64): there the rows shrink to the blocks and the value
-agrees to rounding.  The serial engine is the partitioned one with a
-single worker.
+their order, and discounted once.  A block owns the rows that start in
+it, so a block narrower than a row (possible only for N > 10, with
+M > 1024 or a round-robin M > 64) owns one row or none.  The rows, and
+with them the partials, depend on N alone, so every worker count gives
+the same bits.  The serial engine is the partitioned one with a single
+worker.
 """
 
 from __future__ import annotations
@@ -59,9 +58,10 @@ LARGE_DEPTH = 28
 # Steps covered by the suffix table: 2^15 entries, 256 KB per array.
 SUFFIX_BITS = 15
 
-# Steps of the narrowest row grid: 2^10 rows hold every block of every
-# power-of-two partition up to 1024 ranks and of every round-robin deal
-# up to 64, so the grid, and with it the value, does not move with M.
+# Steps of the narrowest row grid: with 2^10 rows every rank of a
+# power-of-two partition up to 1024 ranks, or of a round-robin deal up to
+# 64, owns whole rows and so a share of the work; finer partitions leave
+# some ranks without a row.
 ROW_BITS = 10
 
 # Paths evaluated per vectorized batch inside a worker.
@@ -89,15 +89,14 @@ class ValuationRequest:
             )
 
 
-def _tables(req: ValuationRequest, partition: PathPartition):
+def _tables(req: ValuationRequest):
     """Prefix and suffix tables for one request, shared by every rank.
 
-    The prefix is k = min(N, max(N - SUFFIX_BITS, ROW_BITS)) steps, a grid
-    fixed by N, unless the partition's prefix is wider; either way each
-    partition block is a whole number of prefix rows.
+    The prefix is k = min(N, max(N - SUFFIX_BITS, ROW_BITS)) steps, a row
+    grid fixed by N alone, whatever the partition.
     """
     params, n = req.params, req.inputs.N
-    k = max(partition.prefix_width, min(n, max(n - SUFFIX_BITS, ROW_BITS)))
+    k = min(n, max(n - SUFFIX_BITS, ROW_BITS))
     prefix = path_table(params.up_probs[:k], params.u, params.d, req.inputs.S0)
     suffix = path_table(params.up_probs[k:], params.u, params.d, 1.0)
     return prefix, suffix
@@ -106,25 +105,29 @@ def _tables(req: ValuationRequest, partition: PathPartition):
 def _rank_value(req: ValuationRequest, partition: PathPartition, rank: int, tables):
     """Undiscounted partials of one rank's prefix rows, in its row order.
 
-    A row's partial is its prefix weight times the suffix-weighted sum
-    of its payoffs, the same whichever rank or batch computes it.  A
-    batch joins a few prefix states with the whole suffix table: row i,
-    column j is the path with prefix lo + i and suffix j.
+    Block v of a w-bit partition owns the rows of the k-bit grid that
+    start in it, [ceil(v 2^k / 2^w), ceil((v+1) 2^k / 2^w)): one row or
+    none when the block is narrower than a row.  A row's partial is its
+    prefix weight times the suffix-weighted sum of its payoffs, the same
+    whichever rank or batch computes it.  A batch joins a few prefix
+    states with the whole suffix table: row i, column j is the path with
+    prefix lo + i and suffix j.
     """
     prefix, suffix = tables
-    n = partition.n
+    n, w = partition.n, partition.prefix_width
     s = suffix.weight.shape[0].bit_length() - 1
-    span = 1 << (n - s - partition.prefix_width)
+    k = n - s
     step = max(1, CHUNK >> s)
     kind, S0, K = req.kind, req.inputs.S0, req.inputs.K
     partials = []
     # Reused by every batch: fresh batch-sized arrays cost a page fault per
     # 4 KB whenever the allocator has returned the last batch's to the OS.
-    buf = np.empty((min(step, span), 1 << s))
+    buf = np.empty((min(step, max(1, 1 << k >> w)), 1 << s))
     with row_buffer(1 << s):
         for v in partition.blocks[rank]:
-            for lo in range(v * span, (v + 1) * span, step):
-                hi = min(lo + step, (v + 1) * span)
+            first, end = -(-v << k >> w), -(-(v + 1) << k >> w)
+            for lo in range(first, end, step):
+                hi = min(lo + step, end)
                 if isinstance(kind, PayoffKind):
                     values = join_payoff(kind, K, n, prefix.rows(lo, hi), suffix, buf[:hi - lo])
                 else:
@@ -133,7 +136,7 @@ def _rank_value(req: ValuationRequest, partition: PathPartition, rank: int, tabl
                     values = payoff_batch(kind, req.params, S0, K, bits).reshape(hi - lo, -1)
                 inner = np.sum(np.multiply(values, suffix.weight, out=values), axis=1)
                 partials.append(prefix.weight[lo:hi] * inner)
-    return np.concatenate(partials)
+    return np.concatenate(partials) if partials else np.empty(0)
 
 
 @contextmanager
@@ -196,7 +199,7 @@ def value_exact_parallel(req: ValuationRequest) -> float:
         )
     m = req.workers
     partition = make_partition(req.inputs.N, m)
-    tables = _tables(req, partition)
+    tables = _tables(req)
     partials = np.concatenate(_map_in_order(
         lambda r: _rank_value(req, partition, r, tables), m, usable_cores()))
     assert partials.size * tables[1].weight.size == 1 << req.inputs.N, \
@@ -212,8 +215,8 @@ def value_exact_parallel(req: ValuationRequest) -> float:
 def value_leaf_formula(req: ValuationRequest) -> float:
     """Closed-form value from the N+1 leaves, for constant-p European kinds.
 
-    The weight of leaf j is the binomial pmf C(N,j) p^j (1-p)^(N-j),
-    evaluated in log space (model._binomial_pmf) so large N stays finite.
+    The weight of leaf j is the binomial pmf C(N,j) p^j (1-p)^(N-j), the
+    N-fold convolution of the one-step pmf (model._binomial_pmf).
     """
     if is_path_dependent(req.kind):
         raise PathDependentPayoff(

@@ -97,9 +97,6 @@ class RepetitionSummary:
     """Per-repetition estimates plus the averages the studies report."""
 
     estimates: tuple
-    mean_value: float
-    mean_variance: float
-    empirical_variance: float
 
     @property
     def reps(self) -> int:
@@ -112,6 +109,20 @@ class RepetitionSummary:
     @property
     def variances(self) -> np.ndarray:
         return np.array([e.variance for e in self.estimates])
+
+    @property
+    def mean_value(self) -> float:
+        return float(self.values.mean())
+
+    @property
+    def mean_variance(self) -> float:
+        """Mean of the per-repetition variance estimates."""
+        return float(self.variances.mean())
+
+    @property
+    def empirical_variance(self) -> float:
+        """Sample variance of the estimates themselves; 0.0 for one repetition."""
+        return float(np.var(self.values, ddof=1)) if self.reps > 1 else 0.0
 
 
 def mc_stream(seed: int, stratum: int = 0, rep: int = 0) -> np.random.Generator:
@@ -407,19 +418,9 @@ def run_repetitions(estimator: Callable, req: ValuationRequest, cfg: McConfig,
                     **estimator_kwargs) -> RepetitionSummary:
     """Run an estimator cfg.reps times on repetition-keyed streams.
 
-    Reports the mean estimate, the mean of the per-repetition variance
-    estimates, and the empirical variance of the estimates themselves
-    (zero when reps == 1).
+    The summary derives the mean estimate, the mean variance estimate
+    and the empirical variance from the estimates it holds.
     """
-    estimates = tuple(
+    return RepetitionSummary(tuple(
         estimator(req, cfg, rep=rep, **estimator_kwargs) for rep in range(cfg.reps)
-    )
-    values = np.array([e.value for e in estimates])
-    variances = np.array([e.variance for e in estimates])
-    empirical = float(np.var(values, ddof=1)) if len(estimates) > 1 else 0.0
-    return RepetitionSummary(
-        estimates=estimates,
-        mean_value=float(values.mean()),
-        mean_variance=float(variances.mean()),
-        empirical_variance=empirical,
-    )
+    ))

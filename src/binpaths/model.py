@@ -192,49 +192,18 @@ def leaf_prices(params: TreeParams, S0: float) -> np.ndarray:
     return S0 * params.u**j * params.d ** (n - j)
 
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-_STIRLING_SMALL = np.array([math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _HALF_LOG_2PI
-                            for k in range(1, 16)])
-
-
-def _stirling_error(k: np.ndarray) -> np.ndarray:
-    """log(k!) - log(sqrt(2 pi k) (k/e)^k) for integers k >= 1.
-
-    Above 15 the asymptotic series is exact to double precision; below,
-    lgamma has too little to cancel to lose digits.
-    """
-    kf = k.astype(np.float64)
-    inv = 1.0 / (kf * kf)
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv / 1188) * inv) * inv) * inv) / kf
-    return np.where(k <= 15, _STIRLING_SMALL[np.minimum(k, 15) - 1], series)
-
-
-def _deviance(x: np.ndarray, m: float) -> np.ndarray:
-    """x log(x/m) + m - x, accurate to a few ulps of |x - m| for x > 0."""
-    return x * np.log1p((x - m) / m) - (x - m)
-
-
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
     """Entry j is C(n, j) p^j (1-p)^(n-j), for j = 0..n.
 
-    Loader's saddle-point form (2000): the log of entry j is
-    stirling(n) - stirling(j) - stirling(n-j) - D(j, np) - D(n-j, n(1-p))
-    - log(2 pi j (n-j) / n) / 2, with D(x, m) = x log(x/m) + m - x.  No
-    term there is of size n log n, so nothing large cancels and the
-    error stays near |log pmf| ulps; the plain lgamma sum loses about
-    1e-11 relative at n = 10^4.  p in {0, 1} gives the exact one-hot
-    vector.
+    The n-fold convolution of the one-step pmf (1-p, p), by binary
+    powering: square for each bit of n, and convolve once more with one
+    step on a 1 bit.  Sums of positive terms cancel nothing, so the
+    error stays a few ulps; p in {0, 1} gives the exact one-hot vector.
     """
-    w = np.zeros(n + 1)
-    if p == 0.0 or p == 1.0:
-        w[n if p == 1.0 else 0] = 1.0
-        return w
-    w[0] = math.exp(n * math.log1p(-p))
-    w[n] = math.exp(n * math.log(p))
-    j = np.arange(1, n)
-    x = j.astype(np.float64)
-    log_w = (_stirling_error(np.array([n])) - _stirling_error(j) - _stirling_error(n - j)
-             - _deviance(x, n * p) - _deviance(n - x, n * (1.0 - p))
-             - 0.5 * np.log(x * (n - x) / n) - _HALF_LOG_2PI)
-    w[1:n] = np.exp(log_w)
+    step = np.array([1.0 - p, p])
+    w = np.ones(1)
+    for bit in bin(n)[2:]:
+        w = np.convolve(w, w)
+        if bit == "1":
+            w = np.convolve(w, step)
     return w

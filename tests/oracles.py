@@ -5,6 +5,7 @@ vectorized kernels are checked against an independent derivation.
 """
 
 import math
+from fractions import Fraction
 from itertools import product
 
 
@@ -48,6 +49,12 @@ def brute_value(S0, K, u, d, probs, q, T, payoff_name):
         prices = brute_prices(S0, u, d, bits)
         total += brute_prob(probs, bits) * brute_payoff(payoff_name, prices, K)
     return math.exp(-q * T) * total
+
+
+def brute_pmf(n, p):
+    """C(n, j) p^j (1-p)^(n-j) for j = 0..n, as exact rationals of the float p."""
+    p = Fraction(p)
+    return [math.comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(n + 1)]
 
 
 def brute_code(bits):

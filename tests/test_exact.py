@@ -1,6 +1,7 @@
 import math
 import os
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from binpaths import (
     EnumerationGuard,
     InvalidWorkerCount,
     LengthMismatch,
+    MAX_DEPTH,
     MarketInputs,
     NonConstantProbs,
     NonFiniteValue,
@@ -27,7 +29,7 @@ from binpaths import (
 )
 from binpaths.model import _binomial_pmf
 
-from oracles import brute_value
+from oracles import brute_pmf, brute_value
 
 TOY_INPUTS = MarketInputs(S0=4.0, K=5.0, q=0.0, sigma=0.3, T=1.0, N=2)
 TOY_PARAMS = TreeParams(dt=0.5, u=2.0, d=0.5, beta=1.25, up_probs=np.full(2, 0.5))
@@ -201,6 +203,24 @@ def test_leaf_weights_match_binomial_pmf(depths, rel):
             # near-subnormal values keep too few digits to compare.
             assert np.all(np.abs(got - want) <= rel * np.maximum(want, 1e-300)), (n, p)
             assert abs(math.fsum(got) - 1.0) <= 1e-12, (n, p)
+
+
+def test_leaf_weights_match_exact_rationals_at_every_allowed_depth():
+    for n in range(1, MAX_DEPTH + 1):
+        for p in LEAF_PROBS:
+            got = _binomial_pmf(n, p).tolist()
+            for j, want in enumerate(brute_pmf(n, p)):
+                # Relative where the pmf is at least 1e-300, as above.
+                bound = Fraction(1e-13) * max(want, Fraction(1e-300))
+                assert abs(Fraction(got[j]) - want) <= bound, (n, p, j)
+
+
+@pytest.mark.parametrize("p, depth", [(0.5, 56), (0.25, 26)])
+def test_leaf_weights_are_exact_when_every_product_fits_a_double(p, depth):
+    # Weight j is C(n, j) / 2^n or C(n, j) 3^(n-j) / 4^n: up to these depths its
+    # numerator, and so every partial sum of the convolution, fits in 53 bits.
+    for n in range(1, depth + 1):
+        assert [Fraction(w) for w in _binomial_pmf(n, p).tolist()] == brute_pmf(n, p), n
 
 
 def test_leaf_weights_are_one_hot_for_certain_moves():

@@ -12,8 +12,9 @@ count from 1 to 9, and against itself on one worker, bit for bit: its
 prefix rows are fixed by N, so the worker count must not move the
 value.  For N <= 10 a row is one path (an empty suffix table); the
 explicit examples pin M = 2^N, round-robin deals and, at N = 16, rows
-of 2^6 paths.  A partition finer than the row grid is the one case
-where worker counts agree only to rounding.
+of 2^6 paths.  A partition finer than the row grid (N > 10 with
+M > 1024, or a round-robin M > 64) gives the same bits too: each row
+goes whole to the block where it starts.
 
 The stratum allocation is checked for its invariants and, on masses with
 zeros, exact ties and long thin tails up to M = 1024, against the
@@ -159,6 +160,8 @@ def _request(n, workers, kind, probs=None, sigma=0.8):
 @example(_request(12, 7, PayoffKind.ASIAN_PUT))  # round-robin, 128 blocks
 @example(_request(9, 3, PayoffKind.EUROPEAN_CALL, [0.1 * (i % 9 + 1) for i in range(9)]))
 @example(_request(16, 3, PayoffKind.FIXED_LOOKBACK_PUT))  # round-robin, rows of 2^6 paths
+@example(_request(12, 100, PayoffKind.ASIAN_PUT))  # round-robin blocks narrower than a row
+@example(_request(11, 2048, PayoffKind.EUROPEAN_PUT))  # one path per block, two per row
 def test_exact_engine_matches_brute_force(req):
     got = value_exact_parallel(req)
     assert got == pytest.approx(_brute(req), rel=1e-12, abs=1e-13)
@@ -174,12 +177,13 @@ def _brute(req):
 
 
 def test_partition_finer_than_the_row_grid():
-    # 2048 blocks of 2 paths each against rows of 4: the rows shrink to
-    # the blocks, so the sum has other addends than on one worker.
+    # 2048 blocks of 2 paths each against rows of 4: the block where a row
+    # starts owns the whole row, the other owns none, so the addends are
+    # those of one worker.
     req = _request(12, 2048, PayoffKind.ASIAN_PUT)
     assert make_partition(12, 2048).prefix_width == 11
     got = value_exact_parallel(req)
-    assert got == pytest.approx(value_exact_parallel(replace(req, workers=1)), rel=1e-12)
+    assert got == value_exact_parallel(replace(req, workers=1))
     assert got == pytest.approx(_brute(req), rel=1e-12, abs=1e-13)
 
 
