@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_market_flags(price)
     price.add_argument("--method", required=True, choices=METHODS)
     price.add_argument("--workers", type=_count, default=1,
-                       help="exact partition ranks or MC stratum count M")
+                       help="exact threads, capped at the usable cores, or MC stratum count M")
     price.add_argument("--samples", type=_count, help="MC draws R per repetition")
     price.add_argument("--seed", type=_seed, default=0)
     price.add_argument("--reps", type=_count, default=1,
@@ -262,7 +262,7 @@ def cmd_bench(args) -> int:
     if oversub:
         print(
             f"note: worker counts {oversub} exceed the {cores} available "
-            f"cores; the thread pool stays at {cores}, so those ranks share it",
+            f"cores; those cells run on {cores} threads",
             file=sys.stderr,
         )
 

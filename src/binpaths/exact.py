@@ -1,4 +1,4 @@
-"""Exact expected value over all 2^N paths, serial and partitioned.
+"""Exact expected value over all 2^N paths, serial and parallel.
 
 The value is e^{-qT} * sum over every path of p(path) * payoff(path).
 Each path splits into a k-step prefix and an s = N - k step suffix, with
@@ -12,15 +12,14 @@ back to decoding bit rows with codes_to_bits and calling payoff_batch,
 with the same table weights.
 
 A prefix row, one prefix and all of its suffixes, is the one unit of
-reduction.  Workers own whole rows through the blocks of a PathPartition
-and return one partial per row; the partials of all ranks are summed
-once with math.fsum, which is exactly rounded and so independent of
-their order, and discounted once.  A block owns the rows that start in
-it, so a block narrower than a row (possible only for N > 10, with
-M > 1024 or a round-robin M > 64) owns one row or none.  The rows, and
-with them the partials, depend on N alone, so every worker count gives
-the same bits.  The serial engine is the partitioned one with a single
-worker.
+reduction.  join_rows, the batched join that the shared-sample Monte
+Carlo estimator uses too, hands each thread a contiguous run of whole
+batches of rows, at most one run per usable core whatever the worker
+count, and returns one partial per row.  The partials are summed once
+with math.fsum, which is exactly rounded and so independent of their
+order, and discounted once.  The rows, and with them the partials,
+depend on N alone, so every worker count and thread count gives the
+same bits.  The serial engine is the parallel one with a single worker.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .errors import (
     quiet_non_finite,
 )
 from .model import MarketInputs, TreeParams, _binomial_pmf, leaf_prices
-from .paths import PathPartition, PathTable, codes_to_bits, make_partition, path_table
+from .paths import PathTable, RowSummary, codes_to_bits, path_table
 from .payoffs import (
     PayoffKind,
     PayoffLike,
@@ -58,13 +57,13 @@ LARGE_DEPTH = 28
 # Steps covered by the suffix table: 2^15 entries, 256 KB per array.
 SUFFIX_BITS = 15
 
-# Steps of the narrowest row grid: with 2^10 rows every rank of a
-# power-of-two partition up to 1024 ranks, or of a round-robin deal up to
-# 64, owns whole rows and so a share of the work; finer partitions leave
-# some ranks without a row.
+# Steps of the narrowest row grid.  The rows are math.fsum's addends: a
+# row's payoffs are summed in floating point and the rows exactly, so
+# this grid fixes the last bits of every value.  2^10 rows keep each
+# float sum to 2^(N - 10) paths up to N = 25.
 ROW_BITS = 10
 
-# Paths evaluated per vectorized batch inside a worker.
+# Paths evaluated per vectorized batch of a join.
 CHUNK = 1 << 15
 
 
@@ -89,54 +88,51 @@ class ValuationRequest:
             )
 
 
-def _tables(req: ValuationRequest):
-    """Prefix and suffix tables for one request, shared by every rank.
+def join_rows(req: ValuationRequest, prefix: PathTable, suffix: PathTable | RowSummary,
+              reduce, threads: int) -> list:
+    """reduce(lo, hi, values) of every batch of prefix rows, in row order.
 
-    The prefix is k = min(N, max(N - SUFFIX_BITS, ROW_BITS)) steps, a row
-    grid fixed by N alone, whatever the partition.
+    values[i, j] is the payoff of prefix lo + i followed by suffix j: a
+    word of a suffix table, which lists them all in code order, or a
+    sampled row.  A batch is max(1, CHUNK // cols) rows from a multiple
+    of that count, so the batches depend on the table sizes alone.  Each
+    of up to `threads` contiguous runs of whole batches goes to one pool
+    thread and builds its batches in one buffer, which reduce may
+    overwrite.  A callable has no summary: it sees whole bit rows.
     """
-    params, n = req.params, req.inputs.N
-    k = min(n, max(n - SUFFIX_BITS, ROW_BITS))
-    prefix = path_table(params.up_probs[:k], params.u, params.d, req.inputs.S0)
-    suffix = path_table(params.up_probs[k:], params.u, params.d, 1.0)
-    return prefix, suffix
+    kind, S0, K, n = req.kind, req.inputs.S0, req.inputs.K, req.inputs.N
+    rows, cols = prefix.last.shape[0], suffix.last.shape[0]
+    step = max(1, CHUNK // cols)
+    batches = -(-rows // step)
+    runs = min(threads, batches)
+    if not isinstance(kind, PayoffKind):
+        r = rows.bit_length() - 1
+        tails = (suffix.bits if isinstance(suffix, RowSummary)
+                 else codes_to_bits(np.arange(cols, dtype=np.uint64), n - r))
 
-
-def _rank_value(req: ValuationRequest, partition: PathPartition, rank: int, tables):
-    """Undiscounted partials of one rank's prefix rows, in its row order.
-
-    Block v of a w-bit partition owns the rows of the k-bit grid that
-    start in it, [ceil(v 2^k / 2^w), ceil((v+1) 2^k / 2^w)): one row or
-    none when the block is narrower than a row.  A row's partial is its
-    prefix weight times the suffix-weighted sum of its payoffs, the same
-    whichever rank or batch computes it.  A batch joins a few prefix
-    states with the whole suffix table: row i, column j is the path with
-    prefix lo + i and suffix j.
-    """
-    prefix, suffix = tables
-    n, w = partition.n, partition.prefix_width
-    s = suffix.weight.shape[0].bit_length() - 1
-    k = n - s
-    step = max(1, CHUNK >> s)
-    kind, S0, K = req.kind, req.inputs.S0, req.inputs.K
-    partials = []
-    # Reused by every batch: fresh batch-sized arrays cost a page fault per
-    # 4 KB whenever the allocator has returned the last batch's to the OS.
-    buf = np.empty((min(step, max(1, 1 << k >> w)), 1 << s))
-    with row_buffer(1 << s):
-        for v in partition.blocks[rank]:
-            first, end = -(-v << k >> w), -(-(v + 1) << k >> w)
-            for lo in range(first, end, step):
-                hi = min(lo + step, end)
+    def run(i: int) -> list:
+        out = []
+        # Reused by every batch: fresh batch-sized arrays cost a page fault
+        # per 4 KB whenever the allocator has returned the last batch's.
+        # Aligned to 64 bytes: at malloc's 16, the join's vector stores
+        # straddle cache lines and an asian-put batch takes up to 15% longer.
+        size = min(step, rows) * cols
+        raw = np.empty(size + 7)
+        skip = -raw.ctypes.data % 64 // 8
+        buf = raw[skip:skip + size].reshape(-1, cols)
+        with row_buffer(cols):
+            for b in range(i * batches // runs, (i + 1) * batches // runs):
+                lo, hi = b * step, min((b + 1) * step, rows)
                 if isinstance(kind, PayoffKind):
                     values = join_payoff(kind, K, n, prefix.rows(lo, hi), suffix, buf[:hi - lo])
                 else:
-                    codes = np.arange(lo << s, hi << s, dtype=np.uint64)
-                    bits = codes_to_bits(codes, n)
+                    heads = codes_to_bits(np.arange(lo, hi, dtype=np.uint64), r)
+                    bits = np.hstack((np.repeat(heads, cols, axis=0), np.tile(tails, (hi - lo, 1))))
                     values = payoff_batch(kind, req.params, S0, K, bits).reshape(hi - lo, -1)
-                inner = np.sum(np.multiply(values, suffix.weight, out=values), axis=1)
-                partials.append(prefix.weight[lo:hi] * inner)
-    return np.concatenate(partials) if partials else np.empty(0)
+                out.append(reduce(lo, hi, values))
+        return out
+
+    return [x for part in _map_in_order(run, runs, threads) for x in part]
 
 
 @contextmanager
@@ -186,24 +182,33 @@ def value_exact_serial(req: ValuationRequest) -> float:
 
 @quiet_non_finite
 def value_exact_parallel(req: ValuationRequest) -> float:
-    """Partitioned enumeration over req.workers ranks.
+    """Full enumeration on min(req.workers, usable_cores()) threads.
 
-    The row partials of all ranks are summed with math.fsum, so the
-    output depends on neither thread scheduling nor, on the row grid,
-    the worker count M.
+    The row partials are summed with math.fsum, so the output depends on
+    neither thread scheduling nor the worker count.
     """
     if req.inputs.N > LARGE_DEPTH and not req.force_large:
         raise EnumerationGuard(
             f"N={req.inputs.N} means 2^{req.inputs.N} paths; pass the force-large "
             f"override to enumerate beyond N={LARGE_DEPTH}"
         )
-    m = req.workers
-    partition = make_partition(req.inputs.N, m)
-    tables = _tables(req)
-    partials = np.concatenate(_map_in_order(
-        lambda r: _rank_value(req, partition, r, tables), m, usable_cores()))
-    assert partials.size * tables[1].weight.size == 1 << req.inputs.N, \
-        "path accounting mismatch"
+    n, m = req.inputs.N, req.workers
+    if m > 1 << n:
+        raise InvalidWorkerCount(
+            f"worker count {m} exceeds the {1 << n} paths of an {n}-step tree"
+        )
+    # A row grid fixed by N alone, whatever the worker count.
+    params, k = req.params, min(n, max(n - SUFFIX_BITS, ROW_BITS))
+    prefix = path_table(params.up_probs[:k], params.u, params.d, req.inputs.S0)
+    suffix = path_table(params.up_probs[k:], params.u, params.d, 1.0)
+
+    def row_partials(lo: int, hi: int, values: np.ndarray) -> np.ndarray:
+        inner = np.sum(np.multiply(values, suffix.weight, out=values), axis=1)
+        return prefix.weight[lo:hi] * inner
+
+    partials = np.concatenate(join_rows(req, prefix, suffix, row_partials,
+                                        min(m, usable_cores())))
+    assert partials.size * suffix.weight.size == 1 << n, "path accounting mismatch"
     try:
         total = math.fsum(partials)
     except (ValueError, OverflowError):  # inf - inf, or an overflow on the way

@@ -20,10 +20,13 @@ about CHUNK sampled bits each: every stratum of a chunk draws from its
 own stream into the chunk's bit matrix, one join_payoff call joins the
 draws with their strata's prefix states path by path, and one segmented
 reduction gives every stratum's mean and squared-deviation sum.  The
-shared estimator joins all M prefix rows with its one sample in chunks
-of rows.  eval_threads maps either estimator's chunks over a thread
-pool; chunk bounds depend on the allocation (or R) and N alone, and the
-chunks are reduced in order, whatever the thread count.
+shared estimator joins all M prefix rows with its one sample through
+exact.join_rows, the exact engine's batched join, max(1, CHUNK // R)
+rows a batch.  eval_threads spreads either estimator over a thread
+pool: one task per stratified chunk, one run of whole batches per
+thread for the shared join.  Chunk and batch bounds depend on the
+allocation (or M and R) and N alone, and both are reduced in order,
+whatever the thread count.
 
 Streams are keyed by (master seed, stratum index, repetition index)
 through a counter-based generator, so results are reproducible and do
@@ -47,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InfeasibleAllocation, InvalidInput, InvalidWorkerCount, quiet_non_finite
-from .exact import CHUNK, ValuationRequest, _finite, _map_in_order, row_buffer
+from .exact import CHUNK, ValuationRequest, _finite, _map_in_order, join_rows
 from .paths import (
     BernoulliPath,
     PathPartition,
@@ -159,20 +162,6 @@ def _prefix_table(req: ValuationRequest, M: int) -> PathTable:
     params = req.params
     r = M.bit_length() - 1
     return path_table(params.up_probs[:r], params.u, params.d, req.inputs.S0)
-
-
-def _extend(req: ValuationRequest, prefix: PathTable, lo: int, hi: int,
-            suffix: RowSummary) -> np.ndarray:
-    """Payoffs of prefixes lo..hi-1 (rows), each extended by every suffix (columns)."""
-    kind, K = req.kind, req.inputs.K
-    if isinstance(kind, PayoffKind):
-        return join_payoff(kind, K, req.inputs.N, prefix.rows(lo, hi), suffix)
-    # A callable has no summary: it sees whole bit rows.
-    r = prefix.weight.shape[0].bit_length() - 1
-    heads = codes_to_bits(np.arange(lo, hi, dtype=np.uint64), r)
-    bits = np.hstack((np.repeat(heads, len(suffix.bits), axis=0),
-                      np.tile(suffix.bits, (hi - lo, 1))))
-    return payoff_batch(kind, req.params, req.inputs.S0, K, bits).reshape(hi - lo, -1)
 
 
 def _extend_draws(req: ValuationRequest, prefix: PathTable, lo: int, hi: int,
@@ -369,6 +358,8 @@ def estimate_partitioned_equal(req: ValuationRequest, cfg: McConfig, rep: int = 
     which reduces to the proportional form when R_m/R = P(m) and to the
     basic estimator at M = 1.
     """
+    if cfg.R < 2:
+        raise InvalidInput(f"partitioned-equal estimator needs R >= 2, got {cfg.R}")
     prefix = _prefix_table(req, cfg.M)
     w = prefix.weight
     return _stratified(req, cfg, rep, eval_threads, prefix, np.full(cfg.M, cfg.R),
@@ -384,8 +375,9 @@ def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
     Draw i contributes the inner sum over all M prefixes weighted by
     stratum probability, so the R inner sums are i.i.d. and their
     sample variance estimates the estimator variance directly.  The
-    prefixes are joined with the sample a chunk of rows at a time; the
-    chunk size depends on R alone, so threads change no result.
+    prefixes are joined with the sample in batches of rows (join_rows)
+    that depend on M and R alone and are summed in order, so threads
+    change no result.
     """
     if cfg.R < 2:
         raise InvalidInput(f"shared estimator needs R >= 2, got {cfg.R}")
@@ -394,20 +386,15 @@ def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
     probs = params.up_probs[cfg.M.bit_length() - 1:]
     suffix = RowSummary(sample_bits(mc_stream(cfg.seed, 0, rep), probs, cfg.R),
                         params.u, params.d)
-    step = max(1, CHUNK // cfg.R)
 
-    def chunk(c: int) -> tuple:
-        lo, hi = c * step, min((c + 1) * step, cfg.M)
-        with row_buffer(cfg.R):
-            values = _extend(req, prefix, lo, hi, suffix)
-            means = values.mean(axis=1)
-            # Weighted in place: one rows x R array fewer per chunk.
-            np.multiply(values, prefix.weight[lo:hi, None], out=values)
-            return np.sum(values, axis=0), means
+    def weigh(lo: int, hi: int, values: np.ndarray) -> tuple:
+        means = values.mean(axis=1)
+        np.multiply(values, prefix.weight[lo:hi, None], out=values)
+        return np.sum(values, axis=0), means
 
-    chunks = _map_in_order(chunk, -(-cfg.M // step), eval_threads)
-    theta, sse = _mean_sse(reduce(np.add, (inner for inner, _ in chunks)))
-    means = np.concatenate([m for _, m in chunks])
+    batches = join_rows(req, prefix, suffix, weigh, eval_threads)
+    theta, sse = _mean_sse(reduce(np.add, (inner for inner, _ in batches)))
+    means = np.concatenate([m for _, m in batches])
     return _estimate(
         req, cfg, theta, sse / (cfg.R * cfg.R), cfg.R, "shared",
         tuple((m, cfg.R, float(means[m])) for m in range(cfg.M)),

@@ -8,8 +8,9 @@ bit and 1 means an up move, so
     code = sum_t bits[t] * 2^(N - 1 - t)      (t = 0..N-1)
 
 and consecutive codes sharing a prefix describe paths sharing their first
-steps.  That makes a prefix block a contiguous code range, which is what
-the partition below hands to each worker.
+steps.  That makes a prefix block a contiguous code range: the partition
+below, the paper's mapping of ranks to blocks, describes each rank's
+share by those ranges, and the engines' prefix tables index rows by them.
 """
 
 from __future__ import annotations

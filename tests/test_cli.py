@@ -396,8 +396,8 @@ def test_bench_note_counts_usable_cores(capsys, monkeypatch):
                            "--reps", "1", *DESK)
     assert code == 0
     assert "worker counts [2] exceed the 1 available cores" in err
-    # The exact engine caps its pool at the cores: ranks share threads.
-    assert "the thread pool stays at 1, so those ranks share it" in err
+    # The exact engine caps its threads at the usable cores.
+    assert "those cells run on 1 threads" in err
 
 
 def test_cli_leaves_scipy_unimported():

@@ -328,14 +328,22 @@ def test_one_usable_core_evaluates_ranks_without_a_pool(monkeypatch):
 
     assert 1 <= exact.usable_cores() <= (os.cpu_count() or 1)
     pools = []
+    maps = []
     real_pool = exact.ThreadPoolExecutor
+    real_map = exact._map_in_order
 
     def counted_pool(*args, **kwargs):
         pools.append(kwargs["max_workers"])
         return real_pool(*args, **kwargs)
 
+    def counted_map(fn, count, threads):
+        maps.append(count)
+        return real_map(fn, count, threads)
+
     monkeypatch.setattr(exact, "ThreadPoolExecutor", counted_pool)
-    inputs = MarketInputs(S0=5.0, K=10.0, q=0.06, sigma=0.30, T=1.0, N=12)
+    monkeypatch.setattr(exact, "_map_in_order", counted_map)
+    # N=18 joins 2^10 prefix rows in 8 batches of 128, enough for 4 threads.
+    inputs = MarketInputs(S0=5.0, K=10.0, q=0.06, sigma=0.30, T=1.0, N=18)
     req = ValuationRequest(inputs=inputs, params=derive_crr(inputs),
                            kind=PayoffKind.ASIAN_PUT, workers=4)
     monkeypatch.setattr(exact, "usable_cores", lambda: 4)
@@ -345,3 +353,13 @@ def test_one_usable_core_evaluates_ranks_without_a_pool(monkeypatch):
     assert value_exact_parallel(req) == pooled
     assert pools == [4]
     assert value_exact_parallel(replace(req, workers=1)) == pooled
+
+    # One rank per path: the engine still maps at most one run of rows per
+    # usable core, not one task per rank, and gives the one-worker bits.
+    inputs = replace(inputs, N=12)
+    req = ValuationRequest(inputs=inputs, params=derive_crr(inputs),
+                           kind=PayoffKind.ASIAN_PUT, workers=1 << 12)
+    monkeypatch.setattr(exact, "usable_cores", lambda: 4)
+    maps.clear()
+    assert value_exact_parallel(req) == value_exact_parallel(replace(req, workers=1))
+    assert maps and max(maps) <= 4

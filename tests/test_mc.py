@@ -194,7 +194,7 @@ def test_stratified_rejects_non_power_of_two():
 
 def test_stratified_rejects_more_strata_than_paths():
     # 2^13 strata of a 12-step tree; R is the smallest each estimator accepts.
-    for estimator, R in zip(STRATIFIED, (1 << 13, 1, 2)):
+    for estimator, R in zip(STRATIFIED, (1 << 13, 2, 2)):
         with pytest.raises(InvalidWorkerCount):
             estimator(_desk_req(), McConfig(R=R, M=1 << 13, seed=0))
 
@@ -484,5 +484,8 @@ def test_mcconfig_validation():
 
 
 def test_shared_requires_two_draws():
-    with pytest.raises(InvalidInput):
-        estimate_shared(_desk_req(), McConfig(R=1, M=1, seed=0))
+    # One draw per stratum cannot estimate a variance either.
+    for estimator in (estimate_shared, estimate_partitioned_equal):
+        for M in (1, 4):
+            with pytest.raises(InvalidInput):
+                estimator(_desk_req(), McConfig(R=1, M=M, seed=0))

@@ -177,9 +177,9 @@ def _brute(req):
 
 
 def test_partition_finer_than_the_row_grid():
-    # 2048 blocks of 2 paths each against rows of 4: the block where a row
-    # starts owns the whole row, the other owns none, so the addends are
-    # those of one worker.
+    # 2048 ranks, the paper's blocks of 2 paths each, against rows of 4:
+    # the engine joins whole rows whatever the worker count, so the
+    # addends are those of one worker.
     req = _request(12, 2048, PayoffKind.ASIAN_PUT)
     assert make_partition(12, 2048).prefix_width == 11
     got = value_exact_parallel(req)
