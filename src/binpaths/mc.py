@@ -15,6 +15,10 @@ One prefix table per call, built from S0 by path_table, holds every
 stratum's mass (its weight) and its state after r steps, and a
 RowSummary of the sampled suffix rows extends that state to whole
 paths.  The basic estimator is the case r = 0, through payoff_batch.
+No call builds a rows x steps float array: sample_bits draws its
+uniforms in blocks of whole rows, about CHUNK numbers each, into the
+bit matrix, and RowSummary reads each row's state from word tables of
+at most 12 steps.
 The stratified estimators work in chunks of consecutive whole strata,
 about CHUNK sampled bits each: every stratum of a chunk draws from its
 own stream into the chunk's bit matrix, one join_payoff call joins the
@@ -135,8 +139,19 @@ def mc_stream(seed: int, stratum: int = 0, rep: int = 0) -> np.random.Generator:
 
 
 def sample_bits(rng: np.random.Generator, probs: np.ndarray, count: int) -> np.ndarray:
-    """(count, len(probs)) Bernoulli matrix, bit t true with prob probs[t]."""
-    return rng.random((count, probs.shape[0])) < probs
+    """(count, len(probs)) Bernoulli matrix, bit t true with prob probs[t].
+
+    The uniforms are drawn CHUNK at a time, a block of whole rows each,
+    in the order one rng.random((count, len(probs))) call draws them, so
+    the bits are that call's without its count x steps float matrix.
+    """
+    n = probs.shape[0]
+    bits = np.empty((count, n), dtype=bool)
+    step = CHUNK // max(n, 1)
+    for lo in range(0, count, step):
+        block = bits[lo:lo + step]
+        np.less(rng.random(block.shape), probs, out=block)
+    return bits
 
 
 def sample_path(params, rng: np.random.Generator) -> BernoulliPath:
@@ -339,6 +354,12 @@ def estimate_partitioned(req: ValuationRequest, cfg: McConfig, rep: int = 0,
         )
     prefix = _prefix_table(req, cfg.M)
     alloc = _allocate(prefix.weight, cfg.R)
+    # At M = 2^N a draw is its stratum's whole path and value.
+    if alloc.max() < 2 and cfg.M < 1 << req.inputs.N:
+        raise InvalidInput(
+            f"partitioned estimator needs a stratum with two draws to estimate "
+            f"a variance, got R={cfg.R} over M={cfg.M} strata"
+        )
     return _stratified(req, cfg, rep, eval_threads, prefix, alloc,
                        lambda sses: float(np.sum(sses)) / (cfg.R * cfg.R),
                        "partitioned")

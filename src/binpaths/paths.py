@@ -11,11 +11,18 @@ and consecutive codes sharing a prefix describe paths sharing their first
 steps.  That makes a prefix block a contiguous code range: the partition
 below, the paper's mapping of ranks to blocks, describes each rank's
 share by those ranges, and the engines' prefix tables index rows by them.
+
+A word table (path_table) holds the state after every word of j steps.
+The exact engine joins prefix and suffix tables; RowSummary reads sampled
+rows the same way, as codes cut into words of at most WORD_BITS steps
+whose states come from memoised word tables and fold left to right.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -198,42 +205,73 @@ def path_table(probs: np.ndarray, u: float, d: float, start: float) -> PathTable
     return PathTable(weight, last, total, low)
 
 
+# Steps per word of RowSummary's lookup: a word table has at most 2^12 entries.
+WORD_BITS = 12
+# Largest |log| of a price relative within one word, so that a word table
+# of up to WORD_BITS prices and their sum stays finite and normal.
+WORD_REACH = 700.0
+
+
+@lru_cache(maxsize=16)
+def _word_table(width: int, u: float, d: float) -> PathTable:
+    """path_table of every width-step word from price 1, read-only.
+
+    Memoised: it depends on (width, u, d) alone, and at most 2^WORD_BITS
+    entries of 32 B make one table.
+    """
+    table = path_table(np.zeros(width), u, d, 1.0)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 class RowSummary:
     """PathTable's last, total and low for given bit rows, from price 1.
 
-    The relative prices cumprod(where(bits, u, d)) are built once; each
-    statistic is computed on first use, so a payoff pays only for the one
-    it reads.  Rows with no columns are the empty word: last 1, total 0
-    and low +inf, as in a table of zero steps.
+    Each row is packed into its path code (step 1 the most significant
+    bit, as in codes_to_bits), cut into ceil(n / WORD_BITS) words of
+    near-equal width, and every word's state is read from a memoised
+    word table.  The words fold left to right: last * last',
+    total + last * total' and fmin(low, last * low'), so no rows x steps
+    float array is built.  Moves beyond e^(WORD_REACH / WORD_BITS) take
+    narrower words, so no table entry is 0 or inf and the fold makes no
+    0 * inf.  When one word is the row (n <= WORD_BITS at ordinary
+    moves), last is the step-by-step product bit for bit.  Rows with no
+    columns are the empty word: last 1, total 0 and low +inf, as in a
+    table of zero steps.
     """
 
     def __init__(self, bits: np.ndarray, u: float, d: float):
         self.bits = bits
-        # In place: one rows x steps array fewer to fault in per sample.
-        steps = np.where(bits, u, d)
-        self.prices = np.cumprod(steps, axis=1, out=steps)
-        self._last = self._total = self._low = None
-
-    # Not functools.cached_property: before Python 3.12 it holds one lock
-    # per class while computing, which queues the pool threads.
-    @property
-    def last(self) -> np.ndarray:
-        if self._last is None:
-            p = self.prices
-            self._last = p[:, -1] if p.shape[1] else np.ones(p.shape[0])
-        return self._last
-
-    @property
-    def total(self) -> np.ndarray:
-        if self._total is None:
-            self._total = self.prices.sum(axis=1)
-        return self._total
-
-    @property
-    def low(self) -> np.ndarray:
-        if self._low is None:
-            self._low = self.prices.min(axis=1, initial=np.inf)
-        return self._low
+        rows, n = bits.shape
+        # Rows padded to 1, 2, 4 or 8 whole bytes read as big-endian
+        # integers, step 1 the top bit; the flat packbits is the fast one.
+        size = 1 << max(0, (n - 1) // 8).bit_length()
+        wide = bits
+        if n != 8 * size:
+            wide = np.zeros((rows, 8 * size), dtype=bool)
+            wide[:, :n] = bits
+        codes = np.packbits(wide.reshape(-1)).view(f">u{size}").astype(np.int64)
+        # Fewer steps per word when the moves are so large that WORD_BITS of
+        # them would leave double precision, so a table never holds 0 or inf.
+        reach = max(abs(math.log(u)), abs(math.log(d)))
+        widest = max(1, min(WORD_BITS, int(WORD_REACH / reach))) if reach else WORD_BITS
+        words = max(1, -(-n // widest))
+        last = total = low = None
+        end = 0
+        for i in range(words):
+            width = n // words + (i < n % words)
+            end += width
+            # A code past 2^63 wraps negative; the mask drops the sign bits.
+            code = (codes >> (8 * size - end)) & ((1 << width) - 1)
+            table = _word_table(width, u, d)
+            if last is None:
+                last, total, low = (a[code] for a in table[1:])
+            else:
+                total += last * table.total[code]
+                np.fmin(low, last * table.low[code], out=low)
+                last *= table.last[code]
+        self.last, self.total, self.low = last, total, low
 
 
 def codes_to_bits(codes: np.ndarray, n: int) -> np.ndarray:

@@ -163,6 +163,17 @@ def test_domain_errors_exit_three(capsys):
     assert code == 3
 
 
+def test_pmc_with_one_draw_in_every_stratum_exits_three(capsys):
+    # A stratum of one draw has no squared deviations to pool.
+    for samples, workers in (("4", "4"), ("1", "1")):
+        code, out, err = run_cli(
+            capsys, "price", "--method", "pmc", "--samples", samples, "--workers", workers,
+            *DESK, "--N", "8",
+        )
+        assert code == 3
+        assert out == "" and "two draws" in err
+
+
 # sigma=40 at N=20: u^20 overflows while that path's weight underflows.
 EXTREME = ["--payoff", "euro-call", "--S0", "1", "--K", "1", "--q", "0",
            "--sigma", "40", "--T", "1"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -77,6 +78,36 @@ def test_per_bit_frequency_within_band():
     bits = sample_bits(mc_stream(2024), params.up_probs, 100_000)
     freq = bits.mean(axis=0)
     assert np.all(freq >= 0.494) and np.all(freq <= 0.506)
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 32, 62])
+def test_sample_bits_are_one_uniform_matrix_compared_with_probs(n):
+    # Blocks of whole rows draw the stream in the order one call draws it;
+    # counts on both sides of a block boundary.
+    probs = np.linspace(0.05, 0.95, n)
+    step = CHUNK // max(n, 1)
+    for count in (1, step - 1, step, step + 1, 65536):
+        got = sample_bits(mc_stream(9, 2, 1), probs, count)
+        want = mc_stream(9, 2, 1).random((count, n)) < probs
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_basic_estimate_builds_no_rows_by_steps_float_matrix():
+    # 2^16 draws of 32 steps: one (R, N) float64 matrix alone is 16 MB.
+    inputs = replace(DESK, N=32)
+    params = derive_crr(inputs)
+    cfg = McConfig(R=1 << 16, seed=0)
+    for kind in PayoffKind:
+        req = ValuationRequest(inputs=inputs, params=params, kind=kind)
+        estimate_basic(req, cfg)  # word tables built outside the trace
+        tracemalloc.start()
+        try:
+            estimate_basic(req, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, (kind, peak)
 
 
 def test_basic_estimate_is_deterministic():
@@ -489,3 +520,7 @@ def test_shared_requires_two_draws():
         for M in (1, 4):
             with pytest.raises(InvalidInput):
                 estimator(_desk_req(), McConfig(R=1, M=M, seed=0))
+    # Nor can a proportional allocation that gives no stratum two draws.
+    for R, M in ((1, 1), (4, 4)):
+        with pytest.raises(InvalidInput):
+            estimate_partitioned(_desk_req(), McConfig(R=R, M=M, seed=0))

@@ -16,12 +16,17 @@ of 2^6 paths.  A partition finer than the row grid (N > 10 with
 M > 1024, or a round-robin M > 64) gives the same bits too: each row
 goes whole to the block where it starts.
 
+RowSummary is checked against the oracle's step-by-step prices on bit
+rows of 0 to 62 steps over CRR trees up to sigma = 80, where a word of
+steps can leave double precision and the words shrink.
+
 The stratum allocation is checked for its invariants and, on masses with
 zeros, exact ties and long thin tails up to M = 1024, against the
 plain-loop reference allocator in oracles.py, draw for draw.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -48,8 +53,10 @@ from binpaths import (
 )
 
 from binpaths.mc import _allocate
+from binpaths.paths import WORD_REACH, RowSummary, path_table
+from binpaths.payoffs import join_payoff
 
-from oracles import brute_allocate, brute_value
+from oracles import brute_allocate, brute_payoff, brute_prices, brute_value
 
 # Derandomized, so a tier-1 run draws the same examples every time.
 DETERMINISTIC = settings(
@@ -174,6 +181,63 @@ def _brute(req):
         inputs.S0, inputs.K, params.u, params.d,
         [float(p) for p in params.up_probs], inputs.q, inputs.T, req.kind.value,
     )
+
+
+@st.composite
+def bit_rows(draw):
+    """A (rows, n) bit matrix with u, d of a CRR tree and a start price."""
+    n = draw(st.integers(0, 62))
+    inputs = MarketInputs(S0=1.0, K=1.0, q=0.06, sigma=draw(st.floats(0.0, 80.0)),
+                          T=1.0, N=max(n, 1))
+    try:
+        params = derive_crr(inputs)
+    except PricingError:
+        assume(False)
+    rows = draw(st.integers(0, 6))
+    bits = draw(st.lists(st.booleans(), min_size=rows * n, max_size=rows * n))
+    S0 = draw(st.sampled_from([1e-300, 1e-100, 1.0, 20.0, 1e100, 1e300]))
+    return np.array(bits, dtype=bool).reshape(rows, n), params.u, params.d, S0
+
+
+WIDE = derive_crr(MarketInputs(S0=1.0, K=1.0, q=0.0, sigma=80.0, T=1.0, N=62))
+
+
+def _normal(x):
+    return math.isfinite(x) and x >= sys.float_info.min
+
+
+@DETERMINISTIC
+@given(bit_rows())
+@example((np.zeros((2, 0), dtype=bool), 1.5, 1 / 1.5, 1.0))  # the empty word
+@example((np.eye(12, dtype=bool), 1.3, 1 / 1.3, 20.0))  # one word
+@example((np.eye(13, dtype=bool), 1.3, 1 / 1.3, 20.0))  # two words
+@example((np.tri(62, dtype=bool), WIDE.u, WIDE.d, 1e-300))  # moves of e^103: words of 6
+def test_row_summary_matches_step_by_step_prices(case):
+    bits, u, d, S0 = case
+    n = bits.shape[1]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        summary = RowSummary(bits, u, d)
+        stats = summary.last, summary.total, summary.low
+        start = path_table((), u, d, S0)
+        payoffs = {kind.value: join_payoff(kind, 1.0, n, start, summary)
+                   for kind in PayoffKind if n}
+    for i, row in enumerate(bits.tolist()):
+        prices = brute_prices(1.0, u, d, row)
+        got = tuple(float(a[i]) for a in stats)
+        assert not any(math.isnan(x) for x in got)
+        if not prices:
+            assert got == (1.0, 0.0, math.inf)
+            continue
+        want = prices[-1], sum(prices), min(prices)
+        if all(map(_normal, prices)) and math.isfinite(want[1]):
+            assert got == pytest.approx(want, rel=1e-14)
+        # One word is the row: its table multiplies step by step.
+        if n <= 12 and n * max(abs(math.log(u)), abs(math.log(d))) <= WORD_REACH:
+            assert got[0] == want[0]
+        # A price at 0 or inf times a word at inf or 0 would be NaN.
+        for name, values in payoffs.items():
+            if math.isfinite(brute_payoff(name, brute_prices(S0, u, d, row), 1.0)):
+                assert not math.isnan(values[i]), name
 
 
 def test_partition_finer_than_the_row_grid():
