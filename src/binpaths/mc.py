@@ -20,9 +20,9 @@ uniforms in blocks of whole rows, about CHUNK numbers each, into the
 bit matrix, and RowSummary reads each row's state from word tables of
 at most 12 steps.
 The stratified estimators work in chunks of consecutive whole strata,
-about CHUNK sampled bits each: every stratum of a chunk draws from its
-own stream into the chunk's bit matrix, one join_payoff call joins the
-draws with their strata's prefix states path by path, and one segmented
+about CHUNK sampled bits each: one sample_bits call draws the rows of
+all the chunk's strata, one join_payoff call joins the draws with their
+strata's prefix states path by path, and one segmented
 reduction gives every stratum's mean and squared-deviation sum.  The
 shared estimator joins all M prefix rows with its one sample through
 exact.join_rows, the exact engine's batched join, max(1, CHUNK // R)
@@ -32,11 +32,14 @@ thread for the shared join.  Chunk and batch bounds depend on the
 allocation (or M and R) and N alone, and both are reduced in order,
 whatever the thread count.
 
-Streams are keyed by (master seed, stratum index, repetition index)
-through a counter-based generator, so results are reproducible and do
-not depend on which thread evaluates which stratum.  With M = 1 all
-three estimators consume the identical stream and arithmetic and are
-bit-for-bit equal to the basic estimator.
+Each repetition draws from one counter-based stream keyed by (master
+seed, repetition index), mc_stream(seed, 0, rep).  The stratified
+estimators lay their strata's suffix rows end to end in it, stratum
+after stratum, and a chunk jumps straight to its first row's counter,
+so results are reproducible and do not depend on which thread
+evaluates which chunk.  With M = 1 all three estimators consume the
+identical stream and arithmetic and are bit-for-bit equal to the basic
+estimator.
 
 Estimates are reported on the value scale: value = e^{-qT} * theta_hat
 and variance = e^{-2qT} * Var_hat(theta_hat).  Per-stratum means stay
@@ -133,7 +136,11 @@ class RepetitionSummary:
 
 
 def mc_stream(seed: int, stratum: int = 0, rep: int = 0) -> np.random.Generator:
-    """Independent generator keyed by (seed, stratum, repetition)."""
+    """Independent Philox generator keyed by (seed, stratum, repetition).
+
+    The estimators use stratum 0 only: every stratum reads its own rows
+    of mc_stream(seed, 0, rep).
+    """
     ss = np.random.SeedSequence(seed, spawn_key=(stratum, rep))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -298,34 +305,37 @@ def _allocate(masses: np.ndarray, R: int) -> np.ndarray:
 def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: int,
                 prefix: PathTable, alloc: np.ndarray, var_theta: Callable,
                 method: str) -> Estimate:
-    """Stratum m joins prefix row m with alloc[m] suffixes of its own stream.
+    """Stratum m joins prefix row m with alloc[m] suffixes from mc_stream(seed, 0, rep).
 
-    Strata are evaluated in chunks of consecutive whole strata holding
-    about CHUNK sampled bits; a stratum opens a new chunk when its first
-    bit passes a multiple of CHUNK, so the chunks depend on the
-    allocation and N alone and threads change no result.  A chunk
-    samples each of its strata from that stratum's stream into one bit
-    matrix, summarises it with one RowSummary, joins it with the
-    repeated prefix states in one join_payoff call and reduces every
-    stratum's mean and squared-deviation sum in one segmented reduction.
+    Stratum m's rows are the alloc[m] rows after the sum(alloc[:m]) rows
+    of the strata before it in that one stream.  Strata are evaluated in
+    chunks of consecutive whole strata holding about CHUNK sampled bits;
+    a stratum opens a new chunk when its first bit passes a multiple of
+    CHUNK, so the chunks depend on the allocation and N alone and threads
+    change no result.  A chunk advances a new generator of the stream to
+    its first row, samples all its strata's rows in one sample_bits call,
+    summarises them with one RowSummary, joins them with the repeated
+    prefix states in one join_payoff call and reduces every stratum's
+    mean and squared-deviation sum in one segmented reduction.
     var_theta maps those sums to the variance of the combined estimate
     on the theta scale.
     """
     params = req.params
     probs = params.up_probs[cfg.M.bit_length() - 1:]
+    first_row = np.cumsum(alloc) - alloc
     # A draw with no suffix steps (M = 2^N) still costs one path.
-    first_bit = (np.cumsum(alloc) - alloc) * max(1, probs.shape[0])
+    first_bit = first_row * max(1, probs.shape[0])
     bounds = np.append(np.unique(first_bit // CHUNK, return_index=True)[1], cfg.M).tolist()
 
     def chunk(c: int) -> tuple:
         lo, hi = bounds[c], bounds[c + 1]
         draws = alloc[lo:hi]
-        bits = np.empty((int(draws.sum()), probs.shape[0]), dtype=bool)
-        row = 0
-        for m, count in enumerate(draws.tolist(), lo):
-            if count:
-                bits[row:row + count] = sample_bits(mc_stream(cfg.seed, m, rep), probs, count)
-                row += count
+        rng = mc_stream(cfg.seed, 0, rep)
+        # One double per sampled bit, four doubles per Philox counter step.
+        start = int(first_row[lo]) * probs.shape[0]
+        rng.bit_generator.advance(start // 4)
+        rng.random(start % 4)
+        bits = sample_bits(rng, probs, int(draws.sum()))
         values = _extend_draws(req, prefix, lo, hi, draws, RowSummary(bits, params.u, params.d))
         return _segment_mean_sse(values, draws)
 

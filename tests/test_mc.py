@@ -358,7 +358,7 @@ def test_eval_threads_do_not_change_results(estimator):
         assert threaded == lone
 
 
-def test_stratum_chunks_draw_each_stratum_from_its_stream_for_any_thread_count():
+def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_count():
     # M=1024 at N=16 leaves 6 sampled steps per draw, so R=32768 fills six
     # chunks.  p = 1 on step 2 and p = 0 on step 7 take the mass from three
     # strata in four, in runs of 8 that fall inside chunks.
@@ -380,13 +380,16 @@ def test_stratum_chunks_draw_each_stratum_from_its_stream_for_any_thread_count()
         assert estimate_partitioned_equal(req, McConfig(R=32, M=1024, seed=21),
                                           eval_threads=threads) == equal
 
-    # Stratum at a time, each mean and SSE is the chunked one, bit for bit.
+    # Stratum m's rows are rows [sum(draws[:m]), sum(draws[:m + 1])) of one
+    # sample of the repetition's stream.  Stratum at a time, each mean and
+    # SSE is the chunked one, bit for bit.
+    sample = sample_bits(mc_stream(21, 0, 0), probs[10:], 32768)
+    first = np.cumsum(draws) - draws
     heads = path_table(probs[:10], params.u, params.d, 20.0)
     sses = np.zeros(1024)
     for m in range(1024):
         if draws[m]:
-            suffix = RowSummary(sample_bits(mc_stream(21, m, 0), probs[10:], draws[m]),
-                                params.u, params.d)
+            suffix = RowSummary(sample[first[m]:first[m] + draws[m]], params.u, params.d)
             values = join_payoff(PayoffKind.ASIAN_PUT, 100.0, 16, heads.rows(m, m + 1), suffix)[0]
             assert est.per_stratum[m][2] == float(values.mean())
             sses[m] = np.sum((values - values.mean()) ** 2)
@@ -397,7 +400,7 @@ def test_stratum_chunks_draw_each_stratum_from_its_stream_for_any_thread_count()
     sampled = [m for m in range(1024) if draws[m]]
     for m in sampled[::37]:
         head = [(m >> (9 - t)) & 1 for t in range(10)]
-        rows = sample_bits(mc_stream(21, m, 0), probs[10:], draws[m]).tolist()
+        rows = sample[first[m]:first[m] + draws[m]].tolist()
         values = [brute_payoff("asian-put", brute_prices(20.0, params.u, params.d, head + row),
                                100.0) for row in rows]
         assert est.per_stratum[m][2] == pytest.approx(np.mean(values), rel=1e-12)

@@ -23,6 +23,14 @@ steps can leave double precision and the words shrink.
 The stratum allocation is checked for its invariants and, on masses with
 zeros, exact ties and long thin tails up to M = 1024, against the
 plain-loop reference allocator in oracles.py, draw for draw.
+
+The stratified estimators are checked against a stratum-at-a-time loop
+over consecutive slices of one sample of the repetition's stream, bit
+for bit, on trees of 1 to 14 steps, every power-of-two M up to 2^N
+(M = 2^N samples no steps), per-step probabilities with 0 and 1 entries
+(strata without mass draw nothing) and stream offsets in every residue
+mod 4, and against themselves on 1, 2 and 4 threads.  At M = 1 they are
+the basic estimator, bit for bit.
 """
 
 import math
@@ -37,6 +45,7 @@ from hypothesis import strategies as st
 from binpaths import (
     InfeasibleAllocation,
     MarketInputs,
+    McConfig,
     NonFiniteValue,
     PayoffKind,
     PricingError,
@@ -47,12 +56,16 @@ from binpaths import (
     block_code_ranges,
     block_probability,
     derive_crr,
+    estimate_basic,
+    estimate_partitioned,
+    estimate_partitioned_equal,
+    estimate_shared,
     make_partition,
     value_exact_parallel,
     with_custom_probs,
 )
 
-from binpaths.mc import _allocate
+from binpaths.mc import _allocate, mc_stream, sample_bits
 from binpaths.paths import WORD_REACH, RowSummary, path_table
 from binpaths.payoffs import join_payoff
 
@@ -332,3 +345,84 @@ def stratum_masses(draw):
 def test_allocation_matches_the_plain_loop_reference(case):
     masses, R = case
     assert _allocate(np.array(masses), R).tolist() == brute_allocate(masses, R)
+
+
+@st.composite
+def stratified_cases(draw):
+    """A tree of 1 to 14 steps with 0 and 1 among its step probabilities,
+    M = 2^r for any r <= N, and draw counts from 2M to about five chunks."""
+    n = draw(st.integers(1, 14))
+    r = draw(st.integers(0, n))
+    probs = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95),
+                          min_size=n, max_size=n))
+    inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=draw(st.floats(0.1, 3.0)),
+                          T=1.0, N=n)
+    params = replace(derive_crr(inputs), up_probs=np.array(probs))
+    kind = draw(st.sampled_from(list(PayoffKind)))
+    m = 1 << r
+    # R >= 2M leaves some stratum two draws.  The larger draw counts fill
+    # up to five chunks of CHUNK bits; the odd jitter moves the offsets.
+    extra = draw(st.sampled_from([0, 100, 1000, 4000, 12000])) + draw(st.integers(0, 63))
+    R = 2 * m + extra
+    equal_R = max(2, extra // m)
+    return (ValuationRequest(inputs=inputs, params=params, kind=kind), m, R, equal_R,
+            draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2)))
+
+
+def _stratum_at_a_time(req, M, alloc, seed, rep):
+    """Per-stratum means and squared-deviation sums, stratum m reading the
+    alloc[m] rows after sum(alloc[:m]) of one sample of stream (seed, 0, rep)."""
+    params, n = req.params, req.inputs.N
+    r = M.bit_length() - 1
+    heads = path_table(params.up_probs[:r], params.u, params.d, req.inputs.S0)
+    sample = sample_bits(mc_stream(seed, 0, rep), params.up_probs[r:], sum(alloc))
+    thetas, sses, row = np.zeros(M), np.zeros(M), 0
+    for m, count in enumerate(alloc):
+        if count:
+            suffix = RowSummary(sample[row:row + count], params.u, params.d)
+            values = join_payoff(req.kind, req.inputs.K, n, heads.rows(m, m + 1), suffix)[0]
+            thetas[m] = float(values.mean())
+            sses[m] = float(np.sum((values - thetas[m]) ** 2))
+            row += count
+    return heads.weight, thetas, sses
+
+
+def _desk_request(n, probs=None, kind=PayoffKind.ASIAN_PUT):
+    inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=n)
+    params = derive_crr(inputs)
+    if probs is not None:
+        params = replace(params, up_probs=np.array(probs))
+    return ValuationRequest(inputs=inputs, params=params, kind=kind)
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(stratified_cases())
+# 5 and 3 suffix steps put the strata's offsets in every residue mod 4, and
+# both estimators run more than one chunk.
+@example((_desk_request(9), 16, 7001, 1001, 5, 1))
+@example((_desk_request(13, kind=PayoffKind.FIXED_LOOKBACK_PUT), 1024, 16383, 13, 7, 0))
+# M = 2^N: no suffix steps, and p = 0 or 1 leaves three strata in four
+# without mass.
+@example((_desk_request(6, [0.5, 1.0, 0.0, 0.3, 0.7, 0.5]), 64, 128, 2, 1, 2))
+def test_stratified_estimators_read_one_stream_stratum_after_stratum(case):
+    req, M, R, equal_R, seed, rep = case
+    disc = math.exp(-req.inputs.q * req.inputs.T)
+    for estimator, cfg in ((estimate_partitioned, McConfig(R=R, M=M, seed=seed)),
+                           (estimate_partitioned_equal, McConfig(R=equal_R, M=M, seed=seed))):
+        est = estimator(req, cfg, rep=rep)
+        alloc = [draws for _, draws, _ in est.per_stratum]
+        weight, thetas, sses = _stratum_at_a_time(req, M, alloc, seed, rep)
+        assert est.per_stratum == tuple(zip(range(M), alloc, thetas.tolist()))
+        assert est.value == disc * float(np.sum(thetas * weight))
+        if estimator is estimate_partitioned:
+            var_theta = float(np.sum(sses)) / (R * R)
+        else:
+            var_theta = float(np.sum(weight * weight * sses / (equal_R * equal_R)))
+        assert est.variance == disc * disc * var_theta
+        for threads in (2, 4):
+            assert estimator(req, cfg, rep=rep, eval_threads=threads) == est
+    if M == 1:
+        basic = estimate_basic(req, McConfig(R=R, seed=seed), rep=rep)
+        for estimator in (estimate_partitioned, estimate_partitioned_equal, estimate_shared):
+            est = estimator(req, McConfig(R=R, M=1, seed=seed), rep=rep)
+            assert (est.value, est.variance) == (basic.value, basic.variance)
