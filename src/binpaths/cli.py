@@ -9,10 +9,10 @@ import sys
 import time
 
 from .bench import records_to_csv, records_to_tables, run_bench
-from .errors import PricingError
+from .errors import EnumerationGuard, PricingError
 from .exact import (
-    LARGE_DEPTH,
     ValuationRequest,
+    check_enumeration,
     usable_cores,
     value_exact_parallel,
     value_leaf_formula,
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_market_flags(price)
     price.add_argument("--method", required=True, choices=METHODS)
     price.add_argument("--workers", type=_count, default=1,
-                       help="exact threads, capped at the usable cores, or MC stratum count M")
+                       help="exact threads (see --eval-threads), or MC stratum count M")
     price.add_argument("--samples", type=_count, help="MC draws R per repetition")
     price.add_argument("--seed", type=_seed, default=0)
     price.add_argument("--reps", type=_count, default=1,
@@ -107,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     price.add_argument("--force-large", action="store_true",
                        help="allow exact enumeration beyond N=28")
     price.add_argument("--eval-threads", type=_count, default=1,
-                       help="threads for MC stratum evaluation (results unchanged)")
+                       help="threads for pmc, pmc-equal and smc; like --workers for exact, "
+                            "at most one per usable core, and no result changes")
     price.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     price.set_defaults(handler=cmd_price)
 
@@ -144,11 +145,7 @@ def _tree_for(args, n: int):
     inputs = MarketInputs(S0=args.S0, K=args.K, q=args.q, sigma=args.sigma,
                           T=args.T, N=n)
     probs = getattr(args, "probs", None)
-    if probs is not None:
-        params = with_custom_probs(inputs, probs)
-    else:
-        params = derive_crr(inputs)
-    return inputs, params
+    return inputs, derive_crr(inputs) if probs is None else with_custom_probs(inputs, probs)
 
 
 def _print_report(report: dict, fmt: str) -> None:
@@ -166,11 +163,6 @@ def _print_report(report: dict, fmt: str) -> None:
 def cmd_price(args) -> int:
     if args.method in MC_METHODS and args.samples is None:
         return _usage_error(f"--samples is required for method {args.method}")
-    if args.method in ENUM_METHODS and args.N > LARGE_DEPTH and not args.force_large:
-        return _usage_error(
-            f"exact enumeration at N={args.N} visits 2^{args.N} paths; "
-            "pass --force-large to confirm"
-        )
 
     inputs, params = _tree_for(args, args.N)
     kind = parse_payoff(args.payoff)
@@ -251,11 +243,8 @@ def cmd_study(args) -> int:
 def cmd_bench(args) -> int:
     if any(m2 <= m1 for m1, m2 in zip(args.M_list, args.M_list[1:])):
         return _usage_error("--M-list must be strictly ascending")
-    too_deep = [n for n in args.N_list if n > LARGE_DEPTH]
-    if too_deep and not args.force_large:
-        return _usage_error(
-            f"N={too_deep[0]} needs --force-large to enumerate 2^{too_deep[0]} paths"
-        )
+    for n in args.N_list:
+        check_enumeration(n, args.force_large)
     kind = parse_payoff(args.payoff)
     cores = usable_cores()
     oversub = [m for m in args.M_list if m > cores]
@@ -266,9 +255,7 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
 
-    trees = {}
-    for n in args.N_list:
-        trees[n] = _tree_for(args, n)
+    trees = {n: _tree_for(args, n) for n in args.N_list}
 
     def runner(n: int, m: int) -> None:
         inputs, params = trees[n]
@@ -297,7 +284,8 @@ def main(argv=None) -> int:
         return args.handler(args)
     except PricingError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        # A missing --force-large is a usage error; the rest are domain errors.
+        return 2 if isinstance(exc, EnumerationGuard) else 3
 
 
 def main_entry() -> None:

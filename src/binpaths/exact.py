@@ -7,19 +7,20 @@ request hold the state of every prefix (from S0) and of every suffix
 (relative to the prefix's end): weight, last price, price sum and
 minimum.  join_payoff, the path kernel the Monte Carlo estimators
 share, extends a prefix state by a suffix entry in a few multiplies and
-adds, O(1) work per path.  Callable payoffs have no summary: they fall
-back to decoding bit rows with codes_to_bits and calling payoff_batch,
-with the same table weights.
+adds, O(1) work per path.  Callable payoffs have no summary:
+callable_payoffs hands them whole bit rows, with the same table weights.
 
 A prefix row, one prefix and all of its suffixes, is the one unit of
 reduction.  join_rows, the batched join that the shared-sample Monte
-Carlo estimator uses too, hands each thread a contiguous run of whole
-batches of rows, at most one run per usable core whatever the worker
-count, and returns one partial per row.  The partials are summed once
-with math.fsum, which is exactly rounded and so independent of their
-order, and discounted once.  The rows, and with them the partials,
-depend on N alone, so every worker count and thread count gives the
-same bits.  The serial engine is the parallel one with a single worker.
+Carlo estimator uses too, returns one partial per row.  The partials
+are summed once with math.fsum, which is exactly rounded and so
+independent of their order, and discounted once.
+
+Threads: _map_in_order turns every thread request (workers here,
+eval_threads in mc) into contiguous runs of a call's batches or chunks,
+one per thread, on at most min(request, usable cores, batches) threads.
+Batch and chunk bounds depend on the inputs alone, so no thread count
+changes a bit.  The serial engine is the parallel one with one worker.
 """
 
 from __future__ import annotations
@@ -95,44 +96,49 @@ def join_rows(req: ValuationRequest, prefix: PathTable, suffix: PathTable | RowS
     values[i, j] is the payoff of prefix lo + i followed by suffix j: a
     word of a suffix table, which lists them all in code order, or a
     sampled row.  A batch is max(1, CHUNK // cols) rows from a multiple
-    of that count, so the batches depend on the table sizes alone.  Each
-    of up to `threads` contiguous runs of whole batches goes to one pool
-    thread and builds its batches in one buffer, which reduce may
-    overwrite.  A callable has no summary: it sees whole bit rows.
+    of that count, so the batches depend on the table sizes alone.
+    _map_in_order hands each thread one run of whole batches, and a run
+    builds its batches in one buffer, which reduce may overwrite.
     """
-    kind, S0, K, n = req.kind, req.inputs.S0, req.inputs.K, req.inputs.N
+    kind, K, n = req.kind, req.inputs.K, req.inputs.N
     rows, cols = prefix.last.shape[0], suffix.last.shape[0]
     step = max(1, CHUNK // cols)
-    batches = -(-rows // step)
-    runs = min(threads, batches)
     if not isinstance(kind, PayoffKind):
-        r = rows.bit_length() - 1
         tails = (suffix.bits if isinstance(suffix, RowSummary)
-                 else codes_to_bits(np.arange(cols, dtype=np.uint64), n - r))
+                 else codes_to_bits(np.arange(cols, dtype=np.uint64), n - rows.bit_length() + 1))
 
-    def run(i: int) -> list:
+    def run(first: int, end: int) -> list:
         out = []
         # Reused by every batch: fresh batch-sized arrays cost a page fault
         # per 4 KB whenever the allocator has returned the last batch's.
         # Aligned to 64 bytes: at malloc's 16, the join's vector stores
-        # straddle cache lines and an asian-put batch takes up to 15% longer.
+        # straddle cache lines and the exact engine runs about 10% slower.
         size = min(step, rows) * cols
         raw = np.empty(size + 7)
         skip = -raw.ctypes.data % 64 // 8
         buf = raw[skip:skip + size].reshape(-1, cols)
         with row_buffer(cols):
-            for b in range(i * batches // runs, (i + 1) * batches // runs):
+            for b in range(first, end):
                 lo, hi = b * step, min((b + 1) * step, rows)
                 if isinstance(kind, PayoffKind):
                     values = join_payoff(kind, K, n, prefix.rows(lo, hi), suffix, buf[:hi - lo])
                 else:
-                    heads = codes_to_bits(np.arange(lo, hi, dtype=np.uint64), r)
-                    bits = np.hstack((np.repeat(heads, cols, axis=0), np.tile(tails, (hi - lo, 1))))
-                    values = payoff_batch(kind, req.params, S0, K, bits).reshape(hi - lo, -1)
+                    values = callable_payoffs(req, prefix, lo, hi, cols,
+                                              np.tile(tails, (hi - lo, 1))).reshape(hi - lo, -1)
                 out.append(reduce(lo, hi, values))
         return out
 
-    return [x for part in _map_in_order(run, runs, threads) for x in part]
+    return _map_in_order(run, -(-rows // step), threads)
+
+
+def callable_payoffs(req: ValuationRequest, prefix: PathTable, lo: int, hi: int,
+                     repeats, tails: np.ndarray) -> np.ndarray:
+    """payoff_batch of prefixes lo..hi-1, each repeated `repeats` times (one count
+    or one each), then the bit rows `tails`: the whole rows a callable payoff sees."""
+    r = prefix.last.shape[0].bit_length() - 1
+    heads = np.repeat(codes_to_bits(np.arange(lo, hi, dtype=np.uint64), r), repeats, axis=0)
+    return payoff_batch(req.kind, req.params, req.inputs.S0, req.inputs.K,
+                        np.hstack((heads, tails)))
 
 
 @contextmanager
@@ -159,11 +165,18 @@ def usable_cores() -> int:
 
 
 def _map_in_order(fn, count: int, threads: int) -> list:
-    """[fn(i) for i in range(count)], spread over up to `threads` pool threads."""
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=min(threads, count)) as pool:
-        return list(pool.map(quiet_non_finite(fn), range(count)))
+    """fn(lo, hi) of runs of range(count), one per thread, results concatenated in order.
+
+    min(threads, usable_cores(), count) runs, as even as whole items
+    allow; a single run is called inline.
+    """
+    runs = min(threads, usable_cores(), count)
+    if runs <= 1:
+        return fn(0, count)
+    bounds = [i * count // runs for i in range(runs + 1)]
+    with ThreadPoolExecutor(max_workers=runs) as pool:
+        parts = pool.map(quiet_non_finite(fn), bounds[:-1], bounds[1:])
+        return [x for part in parts for x in part]
 
 
 def _finite(value: float) -> float:
@@ -175,6 +188,13 @@ def _finite(value: float) -> float:
     return value
 
 
+def check_enumeration(n: int, force_large: bool) -> None:
+    """Refuse 2^n paths beyond LARGE_DEPTH steps without the force-large override."""
+    if n > LARGE_DEPTH and not force_large:
+        raise EnumerationGuard(f"N={n} means 2^{n} paths; pass force_large "
+                               f"(--force-large) to enumerate beyond N={LARGE_DEPTH}")
+
+
 def value_exact_serial(req: ValuationRequest) -> float:
     """Full enumeration as a single worker; ignores req.workers."""
     return value_exact_parallel(replace(req, workers=1))
@@ -182,16 +202,12 @@ def value_exact_serial(req: ValuationRequest) -> float:
 
 @quiet_non_finite
 def value_exact_parallel(req: ValuationRequest) -> float:
-    """Full enumeration on min(req.workers, usable_cores()) threads.
+    """Full enumeration, req.workers threads requested of _map_in_order.
 
     The row partials are summed with math.fsum, so the output depends on
     neither thread scheduling nor the worker count.
     """
-    if req.inputs.N > LARGE_DEPTH and not req.force_large:
-        raise EnumerationGuard(
-            f"N={req.inputs.N} means 2^{req.inputs.N} paths; pass the force-large "
-            f"override to enumerate beyond N={LARGE_DEPTH}"
-        )
+    check_enumeration(req.inputs.N, req.force_large)
     n, m = req.inputs.N, req.workers
     if m > 1 << n:
         raise InvalidWorkerCount(
@@ -206,8 +222,7 @@ def value_exact_parallel(req: ValuationRequest) -> float:
         inner = np.sum(np.multiply(values, suffix.weight, out=values), axis=1)
         return prefix.weight[lo:hi] * inner
 
-    partials = np.concatenate(join_rows(req, prefix, suffix, row_partials,
-                                        min(m, usable_cores())))
+    partials = np.concatenate(join_rows(req, prefix, suffix, row_partials, m))
     assert partials.size * suffix.weight.size == 1 << n, "path accounting mismatch"
     try:
         total = math.fsum(partials)

@@ -20,17 +20,13 @@ uniforms in blocks of whole rows, about CHUNK numbers each, into the
 bit matrix, and RowSummary reads each row's state from word tables of
 at most 12 steps.
 The stratified estimators work in chunks of consecutive whole strata,
-about CHUNK sampled bits each: one sample_bits call draws the rows of
-all the chunk's strata, one join_payoff call joins the draws with their
-strata's prefix states path by path, and one segmented
-reduction gives every stratum's mean and squared-deviation sum.  The
-shared estimator joins all M prefix rows with its one sample through
-exact.join_rows, the exact engine's batched join, max(1, CHUNK // R)
-rows a batch.  eval_threads spreads either estimator over a thread
-pool: one task per stratified chunk, one run of whole batches per
-thread for the shared join.  Chunk and batch bounds depend on the
-allocation (or M and R) and N alone, and both are reduced in order,
-whatever the thread count.
+about CHUNK sampled bits each (see _stratified).  The shared estimator
+joins all M prefix rows with its one sample through exact.join_rows,
+the exact engine's batched join, max(1, CHUNK // R) rows a batch.
+eval_threads follows the exact engine's thread rule (exact._map_in_order):
+one contiguous run of whole chunks or batches per thread, at most one
+thread per usable core.  Chunk and batch bounds depend on the allocation
+(or M and R) and N alone, so no thread count changes a result.
 
 Each repetition draws from one counter-based stream keyed by (master
 seed, repetition index), mc_stream(seed, 0, rep).  The stratified
@@ -57,7 +53,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InfeasibleAllocation, InvalidInput, InvalidWorkerCount, quiet_non_finite
-from .exact import CHUNK, ValuationRequest, _finite, _map_in_order, join_rows
+from .exact import CHUNK, ValuationRequest, _finite, _map_in_order, callable_payoffs, join_rows
 from .paths import (
     BernoulliPath,
     PathPartition,
@@ -65,7 +61,6 @@ from .paths import (
     RowSummary,
     block_probabilities,
     block_probability,  # noqa: F401  the benchmark's tracer wraps mc.block_probability
-    codes_to_bits,
     path_table,
 )
 from .payoffs import PayoffKind, join_payoff, payoff_batch
@@ -194,15 +189,13 @@ def _extend_draws(req: ValuationRequest, prefix: PathTable, lo: int, hi: int,
     suffix rows elementwise, as 1-D arrays; a single prefix's state
     broadcasts over its draws as it is.
     """
-    kind, K = req.kind, req.inputs.K
-    if isinstance(kind, PayoffKind):
-        def per_draw(a):
-            return a[lo:hi] if hi - lo == 1 else np.repeat(a[lo:hi], draws)
-        heads = PathTable(None, per_draw(prefix.last), per_draw(prefix.total), per_draw(prefix.low))
-        return join_payoff(kind, K, req.inputs.N, heads, suffix)
-    r = prefix.weight.shape[0].bit_length() - 1
-    heads = codes_to_bits(np.repeat(np.arange(lo, hi, dtype=np.uint64), draws), r)
-    return payoff_batch(kind, req.params, req.inputs.S0, K, np.hstack((heads, suffix.bits)))
+    if not isinstance(req.kind, PayoffKind):
+        return callable_payoffs(req, prefix, lo, hi, draws, suffix.bits)
+
+    def per_draw(a):
+        return a[lo:hi] if hi - lo == 1 else np.repeat(a[lo:hi], draws)
+    heads = PathTable(None, per_draw(prefix.last), per_draw(prefix.total), per_draw(prefix.low))
+    return join_payoff(req.kind, req.inputs.K, req.inputs.N, heads, suffix)
 
 
 def _mean_sse(values: np.ndarray) -> tuple:
@@ -339,7 +332,8 @@ def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: in
         values = _extend_draws(req, prefix, lo, hi, draws, RowSummary(bits, params.u, params.d))
         return _segment_mean_sse(values, draws)
 
-    per = _map_in_order(chunk, len(bounds) - 1, eval_threads)
+    per = _map_in_order(lambda first, end: [chunk(c) for c in range(first, end)],
+                        len(bounds) - 1, eval_threads)
     thetas = np.concatenate([t for t, _ in per])
     sses = np.concatenate([s for _, s in per])
     return _estimate(

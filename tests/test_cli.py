@@ -371,6 +371,19 @@ def test_bench_descending_m_list_is_usage_error(capsys):
     assert code == 2
 
 
+def test_bench_refuses_a_deep_cell_before_timing_any(capsys, monkeypatch):
+    import binpaths.cli
+
+    timed = []
+    monkeypatch.setattr(binpaths.cli, "value_exact_parallel", timed.append)
+    code, out, err = run_cli(
+        capsys, "bench", "--N-list", "12,30", "--M-list", "1", "--reps", "1", *DESK
+    )
+    assert code == 2
+    assert out == "" and timed == []
+    assert "force-large" in err
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "binpaths", "price", "--method", "exact",

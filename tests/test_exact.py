@@ -330,25 +330,32 @@ def test_non_finite_value_is_a_domain_error():
                 engine(req)
 
 
+def _record_pools(monkeypatch, pools: list) -> None:
+    """Replace the engines' thread pool with one that records its size and runs tasks inline."""
+    from binpaths import exact
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    monkeypatch.setattr(exact, "ThreadPoolExecutor", InlinePool)
+
+
 def test_one_usable_core_evaluates_ranks_without_a_pool(monkeypatch):
     from binpaths import exact
 
     assert 1 <= exact.usable_cores() <= (os.cpu_count() or 1)
     pools = []
-    maps = []
-    real_pool = exact.ThreadPoolExecutor
-    real_map = exact._map_in_order
-
-    def counted_pool(*args, **kwargs):
-        pools.append(kwargs["max_workers"])
-        return real_pool(*args, **kwargs)
-
-    def counted_map(fn, count, threads):
-        maps.append(count)
-        return real_map(fn, count, threads)
-
-    monkeypatch.setattr(exact, "ThreadPoolExecutor", counted_pool)
-    monkeypatch.setattr(exact, "_map_in_order", counted_map)
+    _record_pools(monkeypatch, pools)
     # N=18 joins 2^10 prefix rows in 8 batches of 128, enough for 4 threads.
     inputs = MarketInputs(S0=5.0, K=10.0, q=0.06, sigma=0.30, T=1.0, N=18)
     req = ValuationRequest(inputs=inputs, params=derive_crr(inputs),
@@ -361,12 +368,38 @@ def test_one_usable_core_evaluates_ranks_without_a_pool(monkeypatch):
     assert pools == [4]
     assert value_exact_parallel(replace(req, workers=1)) == pooled
 
-    # One rank per path: the engine still maps at most one run of rows per
-    # usable core, not one task per rank, and gives the one-worker bits.
-    inputs = replace(inputs, N=12)
-    req = ValuationRequest(inputs=inputs, params=derive_crr(inputs),
-                           kind=PayoffKind.ASIAN_PUT, workers=1 << 12)
+    # One rank per path: the engine still opens at most one thread per
+    # usable core, not one per rank, and gives the one-worker bits.
     monkeypatch.setattr(exact, "usable_cores", lambda: 4)
-    maps.clear()
+    pools.clear()
+    assert value_exact_parallel(replace(req, workers=1 << 18)) == pooled
+    assert pools == [4]
+
+
+def test_thread_requests_are_capped_at_the_usable_cores(monkeypatch):
+    # Every engine sizes its pool in _map_in_order: eight threads asked of
+    # two usable cores give a pool of two, whose runs, here called inline,
+    # give the one-thread estimate bit for bit.
+    from binpaths import exact, mc
+
+    pools = []
+    _record_pools(monkeypatch, pools)
+    monkeypatch.setattr(exact, "usable_cores", lambda: 2)
+    inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=16)
+    req = ValuationRequest(inputs=inputs, params=derive_crr(inputs), kind=PayoffKind.ASIAN_PUT)
+    for estimator, cfg in ((mc.estimate_partitioned, mc.McConfig(R=1 << 15, M=1024)),
+                           (mc.estimate_partitioned_equal, mc.McConfig(R=2048, M=64)),
+                           (mc.estimate_shared, mc.McConfig(R=1 << 12, M=1024))):
+        pools.clear()
+        threaded = estimator(req, cfg, eval_threads=8)
+        assert pools == [2], estimator.__name__
+        assert threaded == estimator(req, cfg, eval_threads=1)
+        assert pools == [2]
+
+    # N=18 has 8 batches of rows, so only the cores cap the pool.
+    inputs = replace(inputs, N=18)
+    req = ValuationRequest(inputs=inputs, params=derive_crr(inputs),
+                           kind=PayoffKind.ASIAN_PUT, workers=8)
+    pools.clear()
     assert value_exact_parallel(req) == value_exact_parallel(replace(req, workers=1))
-    assert maps and max(maps) <= 4
+    assert pools == [2]
