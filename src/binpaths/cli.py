@@ -243,6 +243,8 @@ def cmd_study(args) -> int:
 def cmd_bench(args) -> int:
     if any(m2 <= m1 for m1, m2 in zip(args.M_list, args.M_list[1:])):
         return _usage_error("--M-list must be strictly ascending")
+    if len(set(args.N_list)) < len(args.N_list):
+        return _usage_error("--N-list must not repeat an entry")
     for n in args.N_list:
         check_enumeration(n, args.force_large)
     kind = parse_payoff(args.payoff)

@@ -7,8 +7,8 @@ request hold the state of every prefix (from S0) and of every suffix
 (relative to the prefix's end): weight, last price, price sum and
 minimum.  join_payoff, the path kernel the Monte Carlo estimators
 share, extends a prefix state by a suffix entry in a few multiplies and
-adds, O(1) work per path.  Callable payoffs have no summary:
-callable_payoffs hands them whole bit rows, with the same table weights.
+adds, O(1) work per path.  Callable payoffs have no summary: the join
+hands payoffs.code_payoffs each path's code, with the same weights.
 
 A prefix row, one prefix and all of its suffixes, is the one unit of
 reduction.  join_rows, the batched join that the shared-sample Monte
@@ -43,14 +43,10 @@ from .errors import (
     quiet_non_finite,
 )
 from .model import MarketInputs, TreeParams, _binomial_pmf, leaf_prices
-from .paths import PathTable, RowSummary, codes_to_bits, path_table
-from .payoffs import (
-    PayoffKind,
-    PayoffLike,
-    is_path_dependent,
-    join_payoff,
-    payoff_batch,
-)
+# The benchmark's tracer wraps exact.codes_to_bits and exact.payoff_batch.
+from .paths import PathTable, RowSummary, codes_to_bits, path_table  # noqa: F401
+from .payoffs import PayoffKind, PayoffLike, code_payoffs, is_path_dependent, join_payoff
+from .payoffs import payoff_batch  # noqa: F401
 
 # Above this depth, enumeration of 2^N paths needs an explicit opt-in.
 LARGE_DEPTH = 28
@@ -104,8 +100,7 @@ def join_rows(req: ValuationRequest, prefix: PathTable, suffix: PathTable | RowS
     rows, cols = prefix.last.shape[0], suffix.last.shape[0]
     step = max(1, CHUNK // cols)
     if not isinstance(kind, PayoffKind):
-        tails = (suffix.bits if isinstance(suffix, RowSummary)
-                 else codes_to_bits(np.arange(cols, dtype=np.uint64), n - rows.bit_length() + 1))
+        tails = suffix.codes if isinstance(suffix, RowSummary) else np.arange(cols)
 
     def run(first: int, end: int) -> list:
         out = []
@@ -123,22 +118,12 @@ def join_rows(req: ValuationRequest, prefix: PathTable, suffix: PathTable | RowS
                 if isinstance(kind, PayoffKind):
                     values = join_payoff(kind, K, n, prefix.rows(lo, hi), suffix, buf[:hi - lo])
                 else:
-                    values = callable_payoffs(req, prefix, lo, hi, cols,
-                                              np.tile(tails, (hi - lo, 1))).reshape(hi - lo, -1)
+                    codes = (np.arange(lo, hi)[:, None] << (n + 1 - rows.bit_length())) | tails
+                    values = code_payoffs(kind, req.params, req.inputs.S0, K, codes)
                 out.append(reduce(lo, hi, values))
         return out
 
     return _map_in_order(run, -(-rows // step), threads)
-
-
-def callable_payoffs(req: ValuationRequest, prefix: PathTable, lo: int, hi: int,
-                     repeats, tails: np.ndarray) -> np.ndarray:
-    """payoff_batch of prefixes lo..hi-1, each repeated `repeats` times (one count
-    or one each), then the bit rows `tails`: the whole rows a callable payoff sees."""
-    r = prefix.last.shape[0].bit_length() - 1
-    heads = np.repeat(codes_to_bits(np.arange(lo, hi, dtype=np.uint64), r), repeats, axis=0)
-    return payoff_batch(req.kind, req.params, req.inputs.S0, req.inputs.K,
-                        np.hstack((heads, tails)))
 
 
 @contextmanager

@@ -15,6 +15,8 @@ One prefix table per call, built from S0 by path_table, holds every
 stratum's mass (its weight) and its state after r steps, and a
 RowSummary of the sampled suffix rows extends that state to whole
 paths.  The basic estimator is the case r = 0, through payoff_batch.
+A callable payoff is called on each path's code instead, the stratum's
+code shifted past the suffix's (payoffs.code_payoffs).
 No call builds a rows x steps float array: sample_bits draws its
 uniforms in blocks of whole rows, about CHUNK numbers each, into the
 bit matrix, and RowSummary reads each row's state from word tables of
@@ -53,7 +55,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InfeasibleAllocation, InvalidInput, InvalidWorkerCount, quiet_non_finite
-from .exact import CHUNK, ValuationRequest, _finite, _map_in_order, callable_payoffs, join_rows
+from .exact import CHUNK, ValuationRequest, _finite, _map_in_order, join_rows
 from .paths import (
     BernoulliPath,
     PathPartition,
@@ -63,7 +65,7 @@ from .paths import (
     block_probability,  # noqa: F401  the benchmark's tracer wraps mc.block_probability
     path_table,
 )
-from .payoffs import PayoffKind, join_payoff, payoff_batch
+from .payoffs import PayoffKind, code_payoffs, join_payoff, payoff_batch
 
 
 @dataclass(frozen=True)
@@ -187,10 +189,12 @@ def _extend_draws(req: ValuationRequest, prefix: PathTable, lo: int, hi: int,
 
     The prefix states are repeated once per draw and joined with the
     suffix rows elementwise, as 1-D arrays; a single prefix's state
-    broadcasts over its draws as it is.
+    broadcasts over its draws as it is.  A callable sees the path codes.
     """
     if not isinstance(req.kind, PayoffKind):
-        return callable_payoffs(req, prefix, lo, hi, draws, suffix.bits)
+        s = req.inputs.N + 1 - prefix.last.shape[0].bit_length()
+        codes = (np.repeat(np.arange(lo, hi), draws) << s) | suffix.codes
+        return code_payoffs(req.kind, req.params, req.inputs.S0, req.inputs.K, codes)
 
     def per_draw(a):
         return a[lo:hi] if hi - lo == 1 else np.repeat(a[lo:hi], draws)

@@ -228,30 +228,29 @@ def _word_table(width: int, u: float, d: float) -> PathTable:
 class RowSummary:
     """PathTable's last, total and low for given bit rows, from price 1.
 
-    Each row is packed into its path code (step 1 the most significant
-    bit, as in codes_to_bits), cut into ceil(n / WORD_BITS) words of
-    near-equal width, and every word's state is read from a memoised
-    word table.  The words fold left to right: last * last',
-    total + last * total' and fmin(low, last * low'), so no rows x steps
-    float array is built.  Moves beyond e^(WORD_REACH / WORD_BITS) take
-    narrower words, so no table entry is 0 or inf and the fold makes no
-    0 * inf.  When one word is the row (n <= WORD_BITS at ordinary
-    moves), last is the step-by-step product bit for bit.  Rows with no
-    columns are the empty word: last 1, total 0 and low +inf, as in a
-    table of zero steps.
+    Each row is packed into its path code, kept as codes (step 1 the
+    most significant of n bits, as in codes_to_bits), cut into
+    ceil(n / WORD_BITS) words of near-equal width, and every word's
+    state is read from a memoised word table.  The words fold left to
+    right: last * last', total + last * total' and fmin(low, last * low'),
+    so no rows x steps float array is built.  Moves beyond
+    e^(WORD_REACH / WORD_BITS) take narrower words, so no table entry is
+    0 or inf and the fold makes no 0 * inf.  When one word is the row
+    (n <= WORD_BITS at ordinary moves), last is the step-by-step product
+    bit for bit.  Rows with no columns are the empty word: last 1,
+    total 0 and low +inf, as in a table of zero steps.
     """
 
     def __init__(self, bits: np.ndarray, u: float, d: float):
-        self.bits = bits
         rows, n = bits.shape
-        # Rows padded to 1, 2, 4 or 8 whole bytes read as big-endian
-        # integers, step 1 the top bit; the flat packbits is the fast one.
+        # Rows padded in front to 1, 2, 4 or 8 whole bytes read as big-endian
+        # integers, so each is its path code; the flat packbits is the fast one.
         size = 1 << max(0, (n - 1) // 8).bit_length()
         wide = bits
         if n != 8 * size:
             wide = np.zeros((rows, 8 * size), dtype=bool)
-            wide[:, :n] = bits
-        codes = np.packbits(wide.reshape(-1)).view(f">u{size}").astype(np.int64)
+            wide[:, 8 * size - n:] = bits
+        self.codes = np.packbits(wide.reshape(-1)).view(f">u{size}").astype(np.int64)
         # Fewer steps per word when the moves are so large that WORD_BITS of
         # them would leave double precision, so a table never holds 0 or inf.
         reach = max(abs(math.log(u)), abs(math.log(d)))
@@ -262,8 +261,7 @@ class RowSummary:
         for i in range(words):
             width = n // words + (i < n % words)
             end += width
-            # A code past 2^63 wraps negative; the mask drops the sign bits.
-            code = (codes >> (8 * size - end)) & ((1 << width) - 1)
+            code = (self.codes >> (n - end)) & ((1 << width) - 1)
             table = _word_table(width, u, d)
             if last is None:
                 last, total, low = (a[code] for a in table[1:])

@@ -2,8 +2,9 @@
 
 Every payoff sees the path prices S_1..S_N (never S_0) and the strike.
 The four built-in kinds are closed under the CLI tags below; a callable
-with the same signature as payoff() slots in anywhere a kind is accepted,
-which is the extension point for new path functionals.
+with the same signature as payoff() slots in anywhere a kind is
+accepted, the extension point for new path functionals.  code_payoffs
+is the one place a callable runs, on each path's code.
 """
 
 from __future__ import annotations
@@ -100,18 +101,23 @@ def payoff_batch(kind: PayoffLike, params: "TreeParams", S0: float, K: float,
     """Evaluate one payoff on a (batch, N) boolean bit matrix.
 
     Built-in kinds join the start state (S0, sum 0, minimum +inf) with
-    the rows' summary.  Callable kinds fall back to a per-row loop.
+    the rows' summary.  Callable kinds get the rows' path codes.
     """
     bits = np.asarray(bits, dtype=bool)
     if bits.ndim != 2:
         raise InvalidInput(f"bit matrix must be 2-D, got shape {bits.shape}")
     if bits.shape[1] != params.n_steps:
         raise LengthMismatch(f"bit rows have {bits.shape[1]} steps, tree has {params.n_steps}")
+    summary = RowSummary(bits, params.u, params.d)
     if not isinstance(kind, PayoffKind):
-        out = np.empty(bits.shape[0], dtype=np.float64)
-        for i in range(bits.shape[0]):
-            p = BernoulliPath.from_bits([int(b) for b in bits[i]])
-            out[i] = kind(params, S0, K, p)
-        return out
+        return code_payoffs(kind, params, S0, K, summary.codes)
     start = path_table((), params.u, params.d, S0)
-    return join_payoff(kind, K, params.n_steps, start, RowSummary(bits, params.u, params.d))
+    return join_payoff(kind, K, params.n_steps, start, summary)
+
+
+def code_payoffs(kind: Callable, params: "TreeParams", S0: float, K: float,
+                 codes: np.ndarray) -> np.ndarray:
+    """A callable payoff at each path code, one BernoulliPath each, in the codes' shape."""
+    values = (kind(params, S0, K, BernoulliPath(code, params.n_steps))
+              for code in codes.ravel().tolist())
+    return np.fromiter(values, np.float64, codes.size).reshape(codes.shape)

@@ -371,6 +371,20 @@ def test_bench_descending_m_list_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n_list, m_list", [("8,8", "1,2"), ("8,10,8", "1")])
+def test_bench_repeated_n_list_entry_is_usage_error(capsys, monkeypatch, n_list, m_list):
+    import binpaths.cli
+
+    timed = []
+    monkeypatch.setattr(binpaths.cli, "value_exact_parallel", timed.append)
+    code, out, err = run_cli(
+        capsys, "bench", "--N-list", n_list, "--M-list", m_list, "--reps", "1", *DESK
+    )
+    assert code == 2
+    assert out == "" and timed == []
+    assert err == "error: --N-list must not repeat an entry\n"
+
+
 def test_bench_refuses_a_deep_cell_before_timing_any(capsys, monkeypatch):
     import binpaths.cli
 

@@ -263,7 +263,7 @@ def test_tracing_hooks_resolve_and_callable_matches_builtin_twin(monkeypatch):
     from binpaths import exact, mc
 
     calls = {}
-    for module, names in ((exact, ("codes_to_bits", "payoff_batch")),
+    for module, names in ((exact, ("codes_to_bits", "payoff_batch", "code_payoffs")),
                           (mc, ("payoff_batch", "block_probability", "allocate_strata",
                                 "mc_stream", "sample_bits"))):
         for name in names:
@@ -315,8 +315,30 @@ def test_tracing_hooks_resolve_and_callable_matches_builtin_twin(monkeypatch):
         got = value_exact_parallel(ValuationRequest(
             inputs=inputs, params=params, kind=asian_put_clone, workers=workers))
         assert got == pytest.approx(twin, rel=1e-12)
-    assert calls["binpaths.exact.codes_to_bits"] > 0
-    assert calls["binpaths.exact.payoff_batch"] > 0
+    # A callable runs through the one code evaluator: one batch of 1,024
+    # one-path rows per call at N=10, whatever the worker count.
+    assert calls["binpaths.exact.code_payoffs"] == 3
+
+
+@pytest.mark.parametrize("n", (10, 17))
+def test_callable_sees_every_path_code_once(n):
+    # N=17 puts 256 rows of 128 suffixes in one batch.
+    inputs = MarketInputs(S0=5.0, K=10.0, q=0.06, sigma=0.30, T=1.0, N=n)
+    params = derive_crr(inputs)
+    for workers in (1, 3):
+        seen = []
+
+        def record(params, S0, K, path):
+            assert path.n == n and type(path.code) is int
+            seen.append(path.code)
+            return 1.0
+
+        value = value_exact_parallel(ValuationRequest(inputs=inputs, params=params,
+                                                      kind=record, workers=workers))
+        assert value == pytest.approx(math.exp(-0.06), rel=1e-14)
+        if workers == 1:
+            assert seen == list(range(1 << n))
+        assert sorted(seen) == list(range(1 << n))
 
 
 def test_non_finite_value_is_a_domain_error():

@@ -430,20 +430,50 @@ def test_shared_chunks_match_brute_force_per_draw():
     assert est.variance == pytest.approx(math.exp(-0.12) * inner.var() / 2048, rel=1e-9)
 
 
-@pytest.mark.parametrize("estimator", (estimate_basic,) + STRATIFIED)
-def test_callable_payoff_matches_builtin_twin(estimator):
+# At N=62 the path codes lie above 2^53; at M=2^N the suffix has no steps.
+TWIN_CASES = (
+    [pytest.param(e, 6, 1 if e is estimate_basic else 4, id=e.__name__)
+     for e in (estimate_basic,) + STRATIFIED]
+    + [pytest.param(e, 62, 1 if e is estimate_basic else 4, id=f"{e.__name__}-N62")
+       for e in (estimate_basic, estimate_partitioned)]
+    + [pytest.param(e, 6, 64, id=f"{e.__name__}-M64") for e in STRATIFIED]
+)
+
+
+@pytest.mark.parametrize("estimator, n, M", TWIN_CASES)
+def test_callable_payoff_matches_builtin_twin(estimator, n, M):
     def asian_put_clone(params, S0, K, path):
         return float(max(K - asset_path(params, S0, path).mean(), 0.0))
 
-    inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=6)
+    inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=n)
     params = derive_crr(inputs)
-    cfg = McConfig(R=64, M=1 if estimator is estimate_basic else 4, seed=3)
+    cfg = McConfig(R=64, M=M, seed=3)
     twin = estimator(ValuationRequest(inputs=inputs, params=params,
                                       kind=PayoffKind.ASIAN_PUT), cfg)
     got = estimator(ValuationRequest(inputs=inputs, params=params, kind=asian_put_clone), cfg)
     assert got.value == pytest.approx(twin.value, rel=1e-12)
     assert got.variance == pytest.approx(twin.variance, rel=1e-9)
     assert got.R_used == twin.R_used
+
+
+@pytest.mark.parametrize("estimator", STRATIFIED)
+def test_callable_sees_each_draw_under_its_stratum_prefix(estimator):
+    seen = []
+
+    def record(params, S0, K, path):
+        seen.append(path.code)
+        return 0.0
+
+    n = DESK.N
+    est = estimator(ValuationRequest(inputs=DESK, params=DESK_PARAMS, kind=record),
+                    McConfig(R=256, M=4, seed=2))
+    codes = np.array(seen)
+    strata = np.repeat([m for m, _, _ in est.per_stratum], [d for _, d, _ in est.per_stratum])
+    assert np.array_equal(codes >> (n - 2), strata)
+    if estimator is estimate_shared:
+        # Every stratum extends the one shared sample, in draw order.
+        tails = (codes & ((1 << (n - 2)) - 1)).reshape(4, -1)
+        assert (tails == tails[0]).all()
 
 
 def test_repetition_streams_are_independent_but_reproducible():
