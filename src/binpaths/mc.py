@@ -12,15 +12,18 @@ r-bit prefix (r = log2 of the stratum count M) and an (N-r)-bit suffix.
 
 Built-in payoffs go through the exact engine's path kernel, join_payoff.
 One prefix table per call, built from S0 by path_table, holds every
-stratum's mass (its weight) and its state after r steps, and a
+stratum's mass (its weight) and its state after r steps, and the
 RowSummary of the sampled suffix rows extends that state to whole
 paths.  The basic estimator is the case r = 0, through payoff_batch.
 A callable payoff is called on each path's code instead, the stratum's
 code shifted past the suffix's (payoffs.code_payoffs).
-No call builds a rows x steps float array: sample_bits draws its
-uniforms in blocks of whole rows, about CHUNK numbers each, into the
-bit matrix, and RowSummary reads each row's state from word tables of
-at most 12 steps.
+sample_rows is the one sampler.  It cuts a row into RowSummary's words
+of at most 12 steps and draws each word's code with Walker's alias
+method from one 64-bit Philox output: the top w bits pick a bucket of
+the word's memoised alias table, and the low 64 - w bits are compared
+with the bucket's integer threshold.  The word codes then fold as
+RowSummary folds them, so no call builds a bit matrix or a rows x steps
+float array.
 The stratified estimators work in chunks of consecutive whole strata,
 about CHUNK sampled bits each (see _stratified).  The shared estimator
 joins all M prefix rows with its one sample through exact.join_rows,
@@ -31,13 +34,13 @@ thread per usable core.  Chunk and batch bounds depend on the allocation
 (or M and R) and N alone, so no thread count changes a result.
 
 Each repetition draws from one counter-based stream keyed by (master
-seed, repetition index), mc_stream(seed, 0, rep).  The stratified
-estimators lay their strata's suffix rows end to end in it, stratum
-after stratum, and a chunk jumps straight to its first row's counter,
-so results are reproducible and do not depend on which thread
-evaluates which chunk.  With M = 1 all three estimators consume the
-identical stream and arithmetic and are bit-for-bit equal to the basic
-estimator.
+seed, repetition index), mc_stream(seed, 0, rep).  A row is one raw
+uint64 of it per word.  The stratified estimators lay their strata's
+suffix rows end to end in it, stratum after stratum, and a chunk jumps
+straight to its first row's counter, so results are reproducible and do
+not depend on which thread evaluates which chunk.  With M = 1 all three
+estimators consume the identical stream and arithmetic and are
+bit-for-bit equal to the basic estimator.
 
 Estimates are reported on the value scale: value = e^{-qT} * theta_hat
 and variance = e^{-2qT} * Var_hat(theta_hat).  Per-stratum means stay
@@ -49,7 +52,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,6 +68,7 @@ from .paths import (
     block_probabilities,
     block_probability,  # noqa: F401  the benchmark's tracer wraps mc.block_probability
     path_table,
+    word_widths,
 )
 from .payoffs import PayoffKind, code_payoffs, join_payoff, payoff_batch
 
@@ -156,6 +161,68 @@ def sample_bits(rng: np.random.Generator, probs: np.ndarray, count: int) -> np.n
         block = bits[lo:lo + step]
         np.less(rng.random(block.shape), probs, out=block)
     return bits
+
+
+@lru_cache(maxsize=32)
+def _alias_table(probs: tuple) -> tuple:
+    """Walker alias table (thr, alias) of the words of len(probs) steps.
+
+    Word c has the weight path_table(probs, ...).weight[c], scaled to an
+    integer mass out of 2^64 (floored, the shortfall given to the
+    heaviest word), so a zero weight is a zero mass.  Vose's pairing
+    runs on the exact integers, each of the 2^w buckets holding
+    2^(64 - w): bucket i keeps thr[i] of its own word and the rest of
+    alias[i].  Exact sums leave no bucket unpaired, so a zero-mass word
+    keeps threshold 0 and an alias of positive mass.  Memoised by the
+    step probabilities: a table of 2^w entries costs a few ms to build
+    and at most 64 KB.
+    """
+    w = len(probs)
+    n, cap = 1 << w, 1 << (64 - w)
+    weight = path_table(probs, 1.0, 1.0, 1.0).weight
+    mass = [int(x) for x in (weight * 2.0 ** 64).tolist()]
+    mass[int(np.argmax(weight))] += (1 << 64) - sum(mass)
+    thr, alias = [cap] * n, list(range(n))
+    small = [i for i in range(n) if mass[i] < cap]
+    large = [i for i in range(n) if mass[i] >= cap]
+    # A large word that falls below cap joins the small list being read.
+    for s in small:
+        thr[s] = mass[s]
+        big = alias[s] = large[-1]
+        mass[big] -= cap - mass[s]
+        if mass[big] < cap:
+            small.append(large.pop())
+    return np.array(thr, dtype=np.uint64), np.array(alias, dtype=np.int64)
+
+
+def sample_rows(rng: np.random.Generator, probs: np.ndarray, count: int,
+                u: float, d: float, first: int = 0) -> RowSummary:
+    """RowSummary of rows first..first + count - 1 of a new stream rng.
+
+    Step t is up with probability probs[t].  Each word of word_widths
+    costs one bit_generator.random_raw() value, so row i starts at value
+    i * words; Philox gives four values per counter step, so rng skips
+    to row first in O(1).  A word of w steps is drawn from its alias
+    table: the value's top w bits pick bucket i, and its low 64 - w bits
+    below thr[i] keep i, else give alias[i].
+    """
+    widths = word_widths(probs.shape[0], u, d)
+    start = first * len(widths)
+    rng.bit_generator.advance(start // 4)
+    rng.bit_generator.random_raw(start % 4)
+    raw = rng.bit_generator.random_raw(count * len(widths)).reshape(count, len(widths))
+
+    def words():
+        for j, (w, end) in enumerate(zip(widths, accumulate(widths))):
+            thr, alias = _alias_table(tuple(probs[end - w:end].tolist()))
+            value = raw[:, j]
+            word = (value >> (64 - w)).view(np.int64)
+            value &= (1 << (64 - w)) - 1
+            moved = value >= thr[word]
+            np.copyto(word, alias[word], where=moved)
+            yield w, word
+
+    return RowSummary.of_words(count, u, d, words())
 
 
 def sample_path(params, rng: np.random.Generator) -> BernoulliPath:
@@ -260,9 +327,8 @@ def estimate_basic(req: ValuationRequest, cfg: McConfig, rep: int = 0) -> Estima
     if cfg.R < 2:
         raise InvalidInput(f"basic estimator needs R >= 2, got {cfg.R}")
     params = req.params
-    rng = mc_stream(cfg.seed, 0, rep)
-    bits = sample_bits(rng, params.up_probs, cfg.R)
-    values = payoff_batch(req.kind, params, req.inputs.S0, req.inputs.K, bits)
+    rows = sample_rows(mc_stream(cfg.seed, 0, rep), params.up_probs, cfg.R, params.u, params.d)
+    values = payoff_batch(req.kind, params, req.inputs.S0, req.inputs.K, rows)
     theta, sse = _mean_sse(values)
     return _estimate(req, cfg, theta, sse / (cfg.R * cfg.R), cfg.R, "basic")
 
@@ -309,11 +375,11 @@ def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: in
     chunks of consecutive whole strata holding about CHUNK sampled bits;
     a stratum opens a new chunk when its first bit passes a multiple of
     CHUNK, so the chunks depend on the allocation and N alone and threads
-    change no result.  A chunk advances a new generator of the stream to
-    its first row, samples all its strata's rows in one sample_bits call,
-    summarises them with one RowSummary, joins them with the repeated
-    prefix states in one join_payoff call and reduces every stratum's
-    mean and squared-deviation sum in one segmented reduction.
+    change no result.  A chunk makes a new generator of the stream,
+    draws and summarises all its strata's rows from its first row on in
+    one sample_rows call, joins them with the repeated prefix states in one
+    join_payoff call and reduces every stratum's mean and
+    squared-deviation sum in one segmented reduction.
     var_theta maps those sums to the variance of the combined estimate
     on the theta scale.
     """
@@ -327,13 +393,9 @@ def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: in
     def chunk(c: int) -> tuple:
         lo, hi = bounds[c], bounds[c + 1]
         draws = alloc[lo:hi]
-        rng = mc_stream(cfg.seed, 0, rep)
-        # One double per sampled bit, four doubles per Philox counter step.
-        start = int(first_row[lo]) * probs.shape[0]
-        rng.bit_generator.advance(start // 4)
-        rng.random(start % 4)
-        bits = sample_bits(rng, probs, int(draws.sum()))
-        values = _extend_draws(req, prefix, lo, hi, draws, RowSummary(bits, params.u, params.d))
+        suffix = sample_rows(mc_stream(cfg.seed, 0, rep), probs, int(draws.sum()),
+                             params.u, params.d, int(first_row[lo]))
+        values = _extend_draws(req, prefix, lo, hi, draws, suffix)
         return _segment_mean_sse(values, draws)
 
     per = _map_in_order(lambda first, end: [chunk(c) for c in range(first, end)],
@@ -413,8 +475,7 @@ def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
     params = req.params
     prefix = _prefix_table(req, cfg.M)
     probs = params.up_probs[cfg.M.bit_length() - 1:]
-    suffix = RowSummary(sample_bits(mc_stream(cfg.seed, 0, rep), probs, cfg.R),
-                        params.u, params.d)
+    suffix = sample_rows(mc_stream(cfg.seed, 0, rep), probs, cfg.R, params.u, params.d)
 
     def weigh(lo: int, hi: int, values: np.ndarray) -> tuple:
         means = values.mean(axis=1)

@@ -13,9 +13,10 @@ below, the paper's mapping of ranks to blocks, describes each rank's
 share by those ranges, and the engines' prefix tables index rows by them.
 
 A word table (path_table) holds the state after every word of j steps.
-The exact engine joins prefix and suffix tables; RowSummary reads sampled
-rows the same way, as codes cut into words of at most WORD_BITS steps
-whose states come from memoised word tables and fold left to right.
+The exact engine joins prefix and suffix tables; RowSummary reads rows
+the same way, as words of at most WORD_BITS steps (word_widths) whose
+states come from memoised word tables and fold left to right.  Bit rows
+are cut into those words; the Monte Carlo sampler draws them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -205,7 +207,7 @@ def path_table(probs: np.ndarray, u: float, d: float, start: float) -> PathTable
     return PathTable(weight, last, total, low)
 
 
-# Steps per word of RowSummary's lookup: a word table has at most 2^12 entries.
+# Steps per word of RowSummary and the sampler: a word table has at most 2^12 entries.
 WORD_BITS = 12
 # Largest |log| of a price relative within one word, so that a word table
 # of up to WORD_BITS prices and their sum stays finite and normal.
@@ -225,19 +227,34 @@ def _word_table(width: int, u: float, d: float) -> PathTable:
     return table
 
 
-class RowSummary:
-    """PathTable's last, total and low for given bit rows, from price 1.
+def word_widths(n: int, u: float, d: float) -> list:
+    """Widths of the words that n steps are cut into, step 1 first.
 
-    Each row is packed into its path code, kept as codes (step 1 the
-    most significant of n bits, as in codes_to_bits), cut into
-    ceil(n / WORD_BITS) words of near-equal width, and every word's
-    state is read from a memoised word table.  The words fold left to
-    right: last * last', total + last * total' and fmin(low, last * low'),
-    so no rows x steps float array is built.  Moves beyond
+    ceil(n / widest) words of near-equal width, none for n = 0.  widest
+    is WORD_BITS, or fewer steps when the moves are so large that
+    WORD_BITS of them would leave double precision, so a word table
+    never holds 0 or inf.
+    """
+    reach = max(abs(math.log(u)), abs(math.log(d)))
+    widest = max(1, min(WORD_BITS, int(WORD_REACH / reach))) if reach else WORD_BITS
+    words = -(-n // widest)
+    return [n // words + (i < n % words) for i in range(words)]
+
+
+class RowSummary:
+    """PathTable's last, total and low of rows from price 1, and their codes.
+
+    A row is given as bits (step 1 first) or word by word (of_words);
+    codes holds each row's path code, step 1 the most significant of n
+    bits, as in codes_to_bits.  Bit rows are packed into their codes
+    and cut into the words of word_widths.  Every word's state is read
+    from a memoised word table, and the words fold left to right:
+    last * last', total + last * total' and fmin(low, last * low'), so
+    no rows x steps float array is built.  Moves beyond
     e^(WORD_REACH / WORD_BITS) take narrower words, so no table entry is
     0 or inf and the fold makes no 0 * inf.  When one word is the row
     (n <= WORD_BITS at ordinary moves), last is the step-by-step product
-    bit for bit.  Rows with no columns are the empty word: last 1,
+    bit for bit.  Rows with no steps are the empty word: last 1,
     total 0 and low +inf, as in a table of zero steps.
     """
 
@@ -250,18 +267,24 @@ class RowSummary:
         if n != 8 * size:
             wide = np.zeros((rows, 8 * size), dtype=bool)
             wide[:, 8 * size - n:] = bits
-        self.codes = np.packbits(wide.reshape(-1)).view(f">u{size}").astype(np.int64)
-        # Fewer steps per word when the moves are so large that WORD_BITS of
-        # them would leave double precision, so a table never holds 0 or inf.
-        reach = max(abs(math.log(u)), abs(math.log(d)))
-        widest = max(1, min(WORD_BITS, int(WORD_REACH / reach))) if reach else WORD_BITS
-        words = max(1, -(-n // widest))
+        codes = np.packbits(wide.reshape(-1)).view(f">u{size}").astype(np.int64)
+        widths = word_widths(n, u, d)
+        self._fold(rows, u, d, ((w, (codes >> (n - end)) & ((1 << w) - 1))
+                                for w, end in zip(widths, accumulate(widths))))
+
+    @classmethod
+    def of_words(cls, rows: int, u: float, d: float, words) -> "RowSummary":
+        """The summary of rows given as (width, code of every row's word) pairs, step 1 first."""
+        summary = cls.__new__(cls)
+        summary._fold(rows, u, d, words)
+        return summary
+
+    def _fold(self, rows: int, u: float, d: float, words) -> None:
+        codes = np.zeros(rows, dtype=np.int64)
         last = total = low = None
-        end = 0
-        for i in range(words):
-            width = n // words + (i < n % words)
-            end += width
-            code = (self.codes >> (n - end)) & ((1 << width) - 1)
+        for width, code in words:
+            codes <<= width
+            codes |= code
             table = _word_table(width, u, d)
             if last is None:
                 last, total, low = (a[code] for a in table[1:])
@@ -269,7 +292,9 @@ class RowSummary:
                 total += last * table.total[code]
                 np.fmin(low, last * table.low[code], out=low)
                 last *= table.last[code]
-        self.last, self.total, self.low = last, total, low
+        if last is None:
+            last, total, low = (a[codes] for a in _word_table(0, u, d)[1:])
+        self.codes, self.last, self.total, self.low = codes, last, total, low
 
 
 def codes_to_bits(codes: np.ndarray, n: int) -> np.ndarray:

@@ -97,18 +97,23 @@ def payoff(kind: PayoffLike, params: "TreeParams", S0: float, K: float,
 
 
 def payoff_batch(kind: PayoffLike, params: "TreeParams", S0: float, K: float,
-                 bits: np.ndarray) -> np.ndarray:
-    """Evaluate one payoff on a (batch, N) boolean bit matrix.
+                 bits: Union[np.ndarray, RowSummary]) -> np.ndarray:
+    """Evaluate one payoff on a (batch, N) boolean bit matrix or on sampled rows.
 
-    Built-in kinds join the start state (S0, sum 0, minimum +inf) with
-    the rows' summary.  Callable kinds get the rows' path codes.
+    Sampled rows come as their RowSummary (mc.sample_rows), N steps from
+    S0.  Built-in kinds join the start state (S0, sum 0, minimum +inf)
+    with the rows' summary.  Callable kinds get the rows' path codes.
     """
-    bits = np.asarray(bits, dtype=bool)
-    if bits.ndim != 2:
-        raise InvalidInput(f"bit matrix must be 2-D, got shape {bits.shape}")
-    if bits.shape[1] != params.n_steps:
-        raise LengthMismatch(f"bit rows have {bits.shape[1]} steps, tree has {params.n_steps}")
-    summary = RowSummary(bits, params.u, params.d)
+    if isinstance(bits, RowSummary):
+        summary = bits
+    else:
+        bits = np.asarray(bits, dtype=bool)
+        if bits.ndim != 2:
+            raise InvalidInput(f"bit matrix must be 2-D, got shape {bits.shape}")
+        if bits.shape[1] != params.n_steps:
+            raise LengthMismatch(
+                f"bit rows have {bits.shape[1]} steps, tree has {params.n_steps}")
+        summary = RowSummary(bits, params.u, params.d)
     if not isinstance(kind, PayoffKind):
         return code_payoffs(kind, params, S0, K, summary.codes)
     start = path_table((), params.u, params.d, S0)

@@ -259,13 +259,14 @@ def test_callable_payoff_through_engine():
 def test_tracing_hooks_resolve_and_callable_matches_builtin_twin(monkeypatch):
     # The benchmark's traced run patches these names on binpaths.exact and
     # binpaths.mc, and expects one mc_stream and one payoff_batch call per
-    # estimate_basic call.
+    # estimate_basic call.  Every estimator draws through sample_rows, and
+    # sample_bits, which the tracer also wraps, is left to sample_path.
     from binpaths import exact, mc
 
     calls = {}
     for module, names in ((exact, ("codes_to_bits", "payoff_batch", "code_payoffs")),
                           (mc, ("payoff_batch", "block_probability", "allocate_strata",
-                                "mc_stream", "sample_bits"))):
+                                "mc_stream", "sample_bits", "sample_rows"))):
         for name in names:
             fn = getattr(module, name)
             key = f"{module.__name__}.{name}"
@@ -281,28 +282,29 @@ def test_tracing_hooks_resolve_and_callable_matches_builtin_twin(monkeypatch):
                                        kind=PayoffKind.ASIAN_PUT), mc.McConfig(R=8))
     assert calls["binpaths.mc.mc_stream"] == 1
     assert calls["binpaths.mc.payoff_batch"] == 1
-    assert calls["binpaths.mc.sample_bits"] == 1
+    assert calls["binpaths.mc.sample_rows"] == 1
 
-    # The stratified estimators make one stream and one sample_bits call per
+    # The stratified estimators make one stream and one sample_rows call per
     # chunk of strata, not per stratum.  p = 1 on step 3 leaves the even
     # strata of M = 8 without mass, and 64 draws of 3 steps fit one chunk.
     six = MarketInputs(S0=5.0, K=10.0, q=0.06, sigma=0.30, T=1.0, N=6)
     skewed = replace(derive_crr(six), up_probs=np.array([0.4, 0.5, 1.0, 0.5, 0.5, 0.5]))
     skewed_req = ValuationRequest(inputs=six, params=skewed, kind=PayoffKind.ASIAN_PUT)
-    for name in ("binpaths.mc.mc_stream", "binpaths.mc.sample_bits"):
+    for name in ("binpaths.mc.mc_stream", "binpaths.mc.sample_rows"):
         calls[name] = 0
     est = mc.estimate_partitioned(skewed_req, mc.McConfig(R=64, M=8))
     assert [draws > 0 for _, draws, _ in est.per_stratum] == [False, True] * 4
     assert calls["binpaths.mc.mc_stream"] == 1
-    assert calls["binpaths.mc.sample_bits"] == 1
+    assert calls["binpaths.mc.sample_rows"] == 1
     # 8 strata of 5,000 draws of 3 steps: their first bits 0, 15,000, ...,
     # 105,000 fall in four CHUNK blocks, so they make four chunks.
-    for name in ("binpaths.mc.mc_stream", "binpaths.mc.sample_bits"):
+    for name in ("binpaths.mc.mc_stream", "binpaths.mc.sample_rows"):
         calls[name] = 0
     mc.estimate_partitioned_equal(skewed_req, mc.McConfig(R=5000, M=8))
     assert {b * 15_000 // mc.CHUNK for b in range(8)} == {0, 1, 2, 3}
     assert calls["binpaths.mc.mc_stream"] == 4
-    assert calls["binpaths.mc.sample_bits"] == 4
+    assert calls["binpaths.mc.sample_rows"] == 4
+    assert calls["binpaths.mc.sample_bits"] == 0
 
     def asian_put_clone(params, S0, K, path):
         return float(max(K - asset_path(params, S0, path).mean(), 0.0))

@@ -29,8 +29,8 @@ from binpaths import (
     with_custom_probs,
 )
 from binpaths.exact import CHUNK
-from binpaths.mc import sample_bits
-from binpaths.paths import RowSummary, path_table
+from binpaths.mc import _alias_table, sample_bits, sample_rows
+from binpaths.paths import RowSummary, codes_to_bits, path_table, word_widths
 from binpaths.payoffs import join_payoff
 
 from oracles import brute_payoff, brute_prices
@@ -91,6 +91,117 @@ def test_sample_bits_are_one_uniform_matrix_compared_with_probs(n):
         want = mc_stream(9, 2, 1).random((count, n)) < probs
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def test_sample_rows_read_one_raw_value_per_word_through_alias_tables():
+    # 62 steps make words of 11, 11, 10, 10, 10 and 10 steps: row i reads
+    # raw values 6i..6i+5 of the stream, step 1's word first.
+    probs = np.linspace(0.05, 0.95, 62)
+    u, d = DESK_PARAMS.u, DESK_PARAMS.d
+    widths = word_widths(62, u, d)
+    assert widths == [11, 11, 10, 10, 10, 10]
+    drawn = sample_rows(mc_stream(9, 2, 1), probs, 1000, u, d)
+    raw = mc_stream(9, 2, 1).bit_generator.random_raw(6000).reshape(1000, 6)
+    want = []
+    for row in raw.tolist():
+        code = end = 0
+        for value, w in zip(row, widths):
+            thr, alias = _alias_table(tuple(probs[end:end + w].tolist()))
+            end += w
+            i = value >> (64 - w)
+            word = i if value & ((1 << (64 - w)) - 1) < int(thr[i]) else int(alias[i])
+            code = (code << w) | word
+        want.append(code)
+    assert drawn.codes.tolist() == want
+    # A new stream skips to any first row: rows first.. of the same sample.
+    for first in (1, 2, 7, 993):
+        later = sample_rows(mc_stream(9, 2, 1), probs, 1000 - first, u, d, first)
+        assert np.array_equal(later.codes, drawn.codes[first:])
+    # The drawn rows' states are RowSummary's of their bits, bit for bit.
+    given = RowSummary(codes_to_bits(drawn.codes.astype(np.uint64), 62), u, d)
+    for name in ("codes", "last", "total", "low"):
+        assert np.array_equal(getattr(drawn, name), getattr(given, name)), name
+
+    # Rows of no steps read nothing and are the empty word.
+    rng = mc_stream(9, 2, 1)
+    empty = sample_rows(rng, probs[:0], 5, u, d)
+    assert rng.bit_generator.random_raw() == raw[0, 0]
+    assert (empty.codes == 0).all() and (empty.last == 1.0).all()
+    assert (empty.total == 0.0).all() and (empty.low == math.inf).all()
+
+
+@pytest.mark.parametrize("probs", [
+    (0.48,) * 12, (0.5,) * 12, (1 / 3,) * 7, np.linspace(0.01, 0.99, 12).tolist(),
+    (0.3, 1.0, 0.0, 0.7, 0.5, 1 / 3), (1.0, 0.0, 1.0), (0.0,) * 4, (1e-30, 0.5),
+], ids=["crr", "fair", "thirds", "per-step", "zeros-and-ones", "one-path", "all-down",
+        "below-2^-64"])
+def test_alias_tables_hold_the_word_masses_exactly(probs):
+    # Bucket b gives thr[b] of 2^(64 - w) to its own word and the rest to
+    # alias[b].  The integer masses sum to 2^64 and match the word weights;
+    # a zero weight is a zero mass: threshold 0 and an alias that has mass.
+    thr, alias = _alias_table(tuple(probs))
+    w = len(probs)
+    cap = 1 << (64 - w)
+    weight = path_table(probs, 1.0, 1.0, 1.0).weight
+    assert thr.dtype == np.uint64 and int(thr.max()) <= cap
+    mass = [0] * (1 << w)
+    for b, (t, a) in enumerate(zip(thr.tolist(), alias.tolist())):
+        mass[b] += t
+        mass[a] += cap - t
+    assert sum(mass) == 1 << 64
+    slack = abs(1.0 - math.fsum(weight)) + 2.0 ** -52
+    for c, m in enumerate(mass):
+        assert abs(m / 2.0 ** 64 - weight[c]) <= slack
+        if weight[c] == 0.0:
+            assert m == 0 and thr[c] == 0 and weight[alias[c]] > 0.0
+
+
+_WIDE = derive_crr(MarketInputs(S0=1.0, K=1.0, q=0.0, sigma=80.0, T=18 / 62, N=18))
+_CRR24 = derive_crr(replace(DESK, N=24))
+# (probs, u, d, word widths): a CRR tree; per-step probabilities with 0 and
+# 1 entries; and moves of e^103, which WORD_REACH cuts into words of 6.
+SAMPLER_CASES = {
+    "crr": (_CRR24.up_probs, _CRR24.u, _CRR24.d, [12, 12]),
+    "zeros-and-ones": (np.array([0.3, 1.0, 0.5, 0.0, 0.8, 0.15, 1.0, 0.6, 0.45, 0.0,
+                                 0.7, 0.2, 0.0, 0.55, 1.0, 0.35, 0.9, 0.5, 0.05, 0.65]),
+                       DESK_PARAMS.u, DESK_PARAMS.d, [10, 10]),
+    "wide-moves": (np.linspace(0.1, 0.9, 18), _WIDE.u, _WIDE.d, [6, 6, 6]),
+}
+
+
+@pytest.mark.parametrize("case", SAMPLER_CASES)
+def test_word_code_counts_match_the_word_weights(case):
+    # 2^22 rows from one stream, in blocks.  Each word's code counts are
+    # held to its weights: chi-square per degree of freedom within six of
+    # its standard deviations (cells expecting under 5 pooled) and every
+    # |z| under 6.  A zero-weight code is never drawn.
+    probs, u, d, widths = SAMPLER_CASES[case]
+    assert word_widths(probs.shape[0], u, d) == widths
+    rows, blocks = 1 << 22, 8
+    counts = [np.zeros(1 << w, dtype=np.int64) for w in widths]
+    rng = mc_stream(5, 0, 0)
+    for _ in range(blocks):
+        with np.errstate(over="ignore", under="ignore"):  # e^103 moves leave double range
+            codes = sample_rows(rng, probs, rows // blocks, u, d).codes
+        for w, count in zip(reversed(widths), reversed(counts)):
+            count += np.bincount(codes & ((1 << w) - 1), minlength=1 << w)
+            codes = codes >> w
+    end = 0
+    for w, count in zip(widths, counts):
+        weight = path_table(probs[end:end + w], 1.0, 1.0, 1.0).weight
+        end += w
+        assert count.sum() == rows
+        assert not count[weight == 0.0].any()
+        expect = rows * weight
+        big = expect >= 5.0
+        observed = np.append(count[big], count[~big].sum())
+        expected = np.append(expect[big], expect[~big].sum())
+        dof = big.sum() - (expected[-1] == 0.0)
+        keep = expected > 0.0
+        chi2 = np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep])
+        assert abs(chi2 / dof - 1.0) <= 6.0 * math.sqrt(2.0 / dof), (w, chi2, dof)
+        z = (count[big] - expect[big]) / np.sqrt(expect[big] * (1.0 - weight[big]))
+        assert np.abs(z).max() < 6.0, w
 
 
 def test_basic_estimate_builds_no_rows_by_steps_float_matrix():
@@ -382,8 +493,9 @@ def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_c
 
     # Stratum m's rows are rows [sum(draws[:m]), sum(draws[:m + 1])) of one
     # sample of the repetition's stream.  Stratum at a time, each mean and
-    # SSE is the chunked one, bit for bit.
-    sample = sample_bits(mc_stream(21, 0, 0), probs[10:], 32768)
+    # SSE is the chunked one, bit for bit, from the summary of the rows' bits.
+    drawn = sample_rows(mc_stream(21, 0, 0), probs[10:], 32768, params.u, params.d)
+    sample = codes_to_bits(drawn.codes.astype(np.uint64), 6)
     first = np.cumsum(draws) - draws
     heads = path_table(probs[:10], params.u, params.d, 20.0)
     sses = np.zeros(1024)
@@ -415,7 +527,8 @@ def test_shared_chunks_match_brute_force_per_draw():
     est = estimate_shared(req, cfg)
     assert estimate_shared(req, cfg, eval_threads=2) == est
 
-    suffixes = sample_bits(mc_stream(4), params.up_probs[5:], 2048).tolist()
+    drawn = sample_rows(mc_stream(4), params.up_probs[5:], 2048, params.u, params.d)
+    suffixes = codes_to_bits(drawn.codes.astype(np.uint64), 3).astype(int).tolist()
     part = make_partition(8, 32)
     inner = np.zeros(2048)
     for m in range(32):

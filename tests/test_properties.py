@@ -65,8 +65,8 @@ from binpaths import (
     with_custom_probs,
 )
 
-from binpaths.mc import _allocate, mc_stream, sample_bits
-from binpaths.paths import WORD_REACH, RowSummary, path_table
+from binpaths.mc import _allocate, mc_stream, sample_rows
+from binpaths.paths import WORD_REACH, RowSummary, codes_to_bits, path_table
 from binpaths.payoffs import join_payoff
 
 from oracles import brute_allocate, brute_payoff, brute_prices, brute_value
@@ -375,7 +375,9 @@ def _stratum_at_a_time(req, M, alloc, seed, rep):
     params, n = req.params, req.inputs.N
     r = M.bit_length() - 1
     heads = path_table(params.up_probs[:r], params.u, params.d, req.inputs.S0)
-    sample = sample_bits(mc_stream(seed, 0, rep), params.up_probs[r:], sum(alloc))
+    drawn = sample_rows(mc_stream(seed, 0, rep), params.up_probs[r:], sum(alloc),
+                        params.u, params.d)
+    sample = codes_to_bits(drawn.codes.astype(np.uint64), n - r)
     thetas, sses, row = np.zeros(M), np.zeros(M), 0
     for m, count in enumerate(alloc):
         if count:
