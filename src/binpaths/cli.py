@@ -123,7 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--probs", type=_float_list)
     study.set_defaults(handler=cmd_study)
 
-    bench = sub.add_parser("bench", help="scaling grid for the exact engine")
+    bench = sub.add_parser(
+        "bench", help="scaling grid for the exact engine",
+        description="Time the exact engine over an (N, M) grid. euro-call, euro-put and "
+                    "lookback-put take the merged-state route, which runs inline whatever M "
+                    "is; the paper's enumeration scaling grid needs asian-put.")
     _add_market_flags(bench, with_n=False)
     bench.add_argument("--N-list", required=True, type=_counts, dest="N_list")
     bench.add_argument("--M-list", required=True, type=_counts, dest="M_list")

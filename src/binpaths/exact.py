@@ -1,20 +1,35 @@
 """Exact expected value over all 2^N paths, serial and parallel.
 
 The value is e^{-qT} * sum over every path of p(path) * payoff(path).
-Each path splits into a k-step prefix and an s = N - k step suffix, with
-k = min(N, max(N - SUFFIX_BITS, ROW_BITS)).  Two tables built once per
-request hold the state of every prefix (from S0) and of every suffix
-(relative to the prefix's end): weight, last price, price sum and
-minimum.  join_payoff, the path kernel the Monte Carlo estimators
-share, extends a prefix state by a suffix entry in a few multiplies and
-adds, O(1) work per path.  Callable payoffs have no summary: the join
-hands payoffs.code_payoffs each path's code, with the same weights.
+value_exact_parallel takes one of two routes to it.
+
+Merged states (euro-call, euro-put, lookback-put).  On the recombinant
+lattice a path's price after any step is fixed by its level h = ups -
+downs, and these kinds read only the final level and the minimum level
+m.  One forward pass over the steps (min_level_weights) merges every
+path into its (h, m) state, O(N^2) work per step, and the states join
+the empty word through join_payoff as leaves do (Hull & White, J.
+Derivatives, 1993).  This route runs inline on no pool.
+
+Enumeration (asian-put and callables).  Each path splits into a k-step
+prefix and an s = N - k step suffix, with k = min(N, max(N -
+SUFFIX_BITS, ROW_BITS)).  Two tables built once per request hold the
+state of every prefix (from S0) and of every suffix (relative to the
+prefix's end): weight, last price, price sum and minimum.  join_payoff,
+the path kernel the Monte Carlo estimators share, extends a prefix
+state by a suffix entry in a few multiplies and adds, O(1) work per
+path.  Callable payoffs have no summary: the join hands
+payoffs.code_payoffs each path's code, with the same weights.
 
 A prefix row, one prefix and all of its suffixes, is the one unit of
 reduction.  join_rows, the batched join that the shared-sample Monte
-Carlo estimator uses too, returns one partial per row.  The partials
-are summed once with math.fsum, which is exactly rounded and so
-independent of their order, and discounted once.
+Carlo estimator uses too, returns one partial per row.  Either route
+sums its terms once with math.fsum, which is exactly rounded and so
+independent of their order, and discounts once.
+
+Both routes keep the same rules: check_enumeration refuses N >
+LARGE_DEPTH without force_large, and more workers than 2^N paths raise
+InvalidWorkerCount.
 
 Threads: _map_in_order turns every thread request (workers here,
 eval_threads in mc) into contiguous runs of a call's batches or chunks,
@@ -62,6 +77,10 @@ ROW_BITS = 10
 
 # Paths evaluated per vectorized batch of a join.
 CHUNK = 1 << 15
+
+# Kinds that read only the final level and the minimum level of a path.
+MERGED_KINDS = frozenset({PayoffKind.EUROPEAN_CALL, PayoffKind.EUROPEAN_PUT,
+                          PayoffKind.FIXED_LOOKBACK_PUT})
 
 
 @dataclass(frozen=True)
@@ -187,10 +206,11 @@ def value_exact_serial(req: ValuationRequest) -> float:
 
 @quiet_non_finite
 def value_exact_parallel(req: ValuationRequest) -> float:
-    """Full enumeration, req.workers threads requested of _map_in_order.
+    """The exact value, by merged states or by enumeration (module docstring).
 
-    The row partials are summed with math.fsum, so the output depends on
-    neither thread scheduling nor the worker count.
+    Enumeration asks _map_in_order for req.workers threads; its row
+    partials are summed with math.fsum, so the output depends on neither
+    thread scheduling nor the worker count.
     """
     check_enumeration(req.inputs.N, req.force_large)
     n, m = req.inputs.N, req.workers
@@ -198,6 +218,8 @@ def value_exact_parallel(req: ValuationRequest) -> float:
         raise InvalidWorkerCount(
             f"worker count {m} exceeds the {1 << n} paths of an {n}-step tree"
         )
+    if req.kind in MERGED_KINDS:
+        return _value_merged(req)
     # A row grid fixed by N alone, whatever the worker count.
     params, k = req.params, min(n, max(n - SUFFIX_BITS, ROW_BITS))
     prefix = path_table(params.up_probs[:k], params.u, params.d, req.inputs.S0)
@@ -209,11 +231,55 @@ def value_exact_parallel(req: ValuationRequest) -> float:
 
     partials = np.concatenate(join_rows(req, prefix, suffix, row_partials, m))
     assert partials.size * suffix.weight.size == 1 << n, "path accounting mismatch"
+    return _discounted_sum(req, partials.tolist())
+
+
+def _discounted_sum(req: ValuationRequest, terms: list) -> float:
+    """e^{-qT} times the exactly rounded sum of terms, or NonFiniteValue."""
     try:
-        total = math.fsum(partials)
+        total = math.fsum(terms)
     except (ValueError, OverflowError):  # inf - inf, or an overflow on the way
         total = math.nan
     return _finite(math.exp(-req.inputs.q * req.inputs.T) * total)
+
+
+def min_level_weights(probs: np.ndarray) -> np.ndarray:
+    """w[h + n, m + n]: the probability that steps 1..n end at level h with minimum m.
+
+    The level is ups minus downs; the minimum is over steps 1..n, so S0's
+    level 0 is not in it and step 1 seeds the states (1, 1) and (-1, -1).
+    One forward pass, O(n^2) per step: an up move shifts h, and a down
+    move shifts h and lowers m only from the diagonal m == h.
+    """
+    n = len(probs)
+    w = np.zeros((2 * n + 1, 2 * n + 1))
+    w[n + 1, n + 1], w[n - 1, n - 1] = probs[0], 1.0 - probs[0]
+    diag = np.arange(2 * n)
+    for p in probs[1:]:
+        moved = np.zeros_like(w)
+        moved[1:] = p * w[:-1]
+        at_min = (1.0 - p) * w.diagonal()[1:]
+        np.fill_diagonal(w, 0.0)
+        moved[:-1] += (1.0 - p) * w[1:]
+        moved[diag, diag] += at_min
+        w = moved
+    return w
+
+
+def _value_merged(req: ValuationRequest) -> float:
+    """A European or lookback-put value from min_level_weights, inline.
+
+    Every path in state (h, m) ends at S0 * u^h and has minimum S0 * u^m
+    (d^-h below level 0), so the table is a PathTable of states, joined
+    with the empty word as value_leaf_formula joins its leaves.
+    """
+    params, S0, n = req.params, req.inputs.S0, req.inputs.N
+    price = np.concatenate((S0 * params.d ** np.arange(n, 0, -1),
+                            S0 * params.u ** np.arange(n + 1)))
+    weight = min_level_weights(params.up_probs).ravel()
+    states = PathTable(weight, np.repeat(price, price.size), None, np.tile(price, price.size))
+    values = join_payoff(req.kind, req.inputs.K, n, states, path_table((), 1.0, 1.0, 1.0))
+    return _discounted_sum(req, (weight * values).tolist())
 
 
 @quiet_non_finite

@@ -298,6 +298,6 @@ class RowSummary:
 
 
 def codes_to_bits(codes: np.ndarray, n: int) -> np.ndarray:
-    """Expand integer path codes to a (len(codes), n) boolean bit matrix."""
+    """Expand integer path codes (int64 or uint64) to a (len(codes), n) boolean bit matrix."""
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    return (codes[:, None] >> shifts) & np.uint64(1) != 0
+    return (np.asarray(codes, dtype=np.uint64)[:, None] >> shifts) & np.uint64(1) != 0

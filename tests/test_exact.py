@@ -427,3 +427,95 @@ def test_thread_requests_are_capped_at_the_usable_cores(monkeypatch):
     pools.clear()
     assert value_exact_parallel(req) == value_exact_parallel(replace(req, workers=1))
     assert pools == [2]
+
+
+# Callable twins of the merged-state kinds, read from asset_path: they
+# still enumerate every path through join_rows.
+def _euro_call_clone(params, S0, K, path):
+    return float(max(asset_path(params, S0, path)[-1] - K, 0.0))
+
+
+def _euro_put_clone(params, S0, K, path):
+    return float(max(K - asset_path(params, S0, path)[-1], 0.0))
+
+
+def _lookback_put_clone(params, S0, K, path):
+    return float(max(K - asset_path(params, S0, path).min(), 0.0))
+
+
+MERGED_CLONES = {
+    PayoffKind.EUROPEAN_CALL: _euro_call_clone,
+    PayoffKind.EUROPEAN_PUT: _euro_put_clone,
+    PayoffKind.FIXED_LOOKBACK_PUT: _lookback_put_clone,
+}
+
+
+# sigma=30 puts the all-up price beyond double precision and the
+# all-down price below it; at N=1 the move sizes themselves overflow.
+@pytest.mark.parametrize("n,sigma", [(1, 0.3), (10, 0.3), (14, 0.3), (10, 30.0), (14, 30.0)])
+@pytest.mark.parametrize("probs", ("crr", "certain steps"))
+def test_merged_states_agree_with_enumerated_twins(n, sigma, probs):
+    inputs = MarketInputs(S0=5.0, K=10.0, q=0.06, sigma=sigma, T=1.0, N=n)
+    params = derive_crr(inputs)
+    if probs == "certain steps":
+        up = np.random.default_rng(n).uniform(0.05, 0.95, n)
+        up[::3], up[1::4] = 1.0, 0.0
+        params = replace(params, up_probs=up)
+    for kind, clone in MERGED_CLONES.items():
+        merged = ValuationRequest(inputs=inputs, params=params, kind=kind)
+        twin = replace(merged, kind=clone)
+        if sigma == 30.0 and kind is PayoffKind.EUROPEAN_CALL:
+            # Some path ends at an infinite price: inf, or inf * 0 where its
+            # weight underflows, on either route.
+            with pytest.raises(NonFiniteValue):
+                value_exact_parallel(merged)
+            with pytest.raises(NonFiniteValue):
+                value_exact_parallel(twin)
+            continue
+        want = value_exact_parallel(twin)
+        assert value_exact_parallel(merged) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_merged_kinds_join_no_rows_and_open_no_pool(monkeypatch):
+    from binpaths import exact
+
+    pools, joins = [], []
+    _record_pools(monkeypatch, pools)
+    monkeypatch.setattr(exact, "usable_cores", lambda: 4)
+    join_rows = exact.join_rows
+
+    def counted(*args):
+        joins.append(args[0].kind)
+        return join_rows(*args)
+
+    monkeypatch.setattr(exact, "join_rows", counted)
+    inputs = MarketInputs(S0=5.0, K=10.0, q=0.06, sigma=0.30, T=1.0, N=18)
+    for kind in MERGED_CLONES:
+        req = ValuationRequest(inputs=inputs, params=derive_crr(inputs), kind=kind, workers=4)
+        assert value_exact_parallel(req) == value_exact_parallel(replace(req, workers=1))
+    assert joins == [] and pools == []
+    # asian-put still enumerates: 8 batches of rows on a pool of 4.
+    value_exact_parallel(replace(req, kind=PayoffKind.ASIAN_PUT))
+    assert joins == [PayoffKind.ASIAN_PUT] and pools == [4]
+
+
+def test_merged_states_reach_the_published_and_deep_references():
+    desk = dict(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0)
+    inputs = MarketInputs(N=32, **desk)
+    lookback = ValuationRequest(inputs=inputs, params=derive_crr(inputs),
+                                kind=PayoffKind.FIXED_LOOKBACK_PUT, force_large=True)
+    # The published N=32 lookback-put reference, reached without sampling.
+    assert round(value_exact_parallel(lookback), 3) == 93.196
+    with pytest.raises(EnumerationGuard):
+        value_exact_parallel(replace(lookback, force_large=False))
+
+    inputs = MarketInputs(N=MAX_DEPTH, **desk)
+    call = ValuationRequest(inputs=inputs, params=derive_crr(inputs),
+                            kind=PayoffKind.EUROPEAN_CALL, force_large=True)
+    assert value_exact_parallel(call) == pytest.approx(value_leaf_formula(call), rel=1e-13)
+
+    # The guard holds for the enumerated kinds too.
+    inputs = MarketInputs(N=29, **desk)
+    asian = ValuationRequest(inputs=inputs, params=derive_crr(inputs), kind=PayoffKind.ASIAN_PUT)
+    with pytest.raises(EnumerationGuard):
+        value_exact_parallel(asian)

@@ -118,7 +118,7 @@ def test_sample_rows_read_one_raw_value_per_word_through_alias_tables():
         later = sample_rows(mc_stream(9, 2, 1), probs, 1000 - first, u, d, first)
         assert np.array_equal(later.codes, drawn.codes[first:])
     # The drawn rows' states are RowSummary's of their bits, bit for bit.
-    given = RowSummary(codes_to_bits(drawn.codes.astype(np.uint64), 62), u, d)
+    given = RowSummary(codes_to_bits(drawn.codes, 62), u, d)
     for name in ("codes", "last", "total", "low"):
         assert np.array_equal(getattr(drawn, name), getattr(given, name)), name
 
@@ -495,7 +495,7 @@ def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_c
     # sample of the repetition's stream.  Stratum at a time, each mean and
     # SSE is the chunked one, bit for bit, from the summary of the rows' bits.
     drawn = sample_rows(mc_stream(21, 0, 0), probs[10:], 32768, params.u, params.d)
-    sample = codes_to_bits(drawn.codes.astype(np.uint64), 6)
+    sample = codes_to_bits(drawn.codes, 6)
     first = np.cumsum(draws) - draws
     heads = path_table(probs[:10], params.u, params.d, 20.0)
     sses = np.zeros(1024)
@@ -528,7 +528,7 @@ def test_shared_chunks_match_brute_force_per_draw():
     assert estimate_shared(req, cfg, eval_threads=2) == est
 
     drawn = sample_rows(mc_stream(4), params.up_probs[5:], 2048, params.u, params.d)
-    suffixes = codes_to_bits(drawn.codes.astype(np.uint64), 3).astype(int).tolist()
+    suffixes = codes_to_bits(drawn.codes, 3).astype(int).tolist()
     part = make_partition(8, 32)
     inner = np.zeros(2048)
     for m in range(32):

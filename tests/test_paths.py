@@ -201,3 +201,14 @@ def test_codes_to_bits_matches_scalar_decoding():
     bits = codes_to_bits(codes, n)
     for code in (0, 1, 63, 100, 127):
         assert bits[code].tolist() == [b == 1 for b in BernoulliPath(code=code, n=n).bits()]
+
+
+@pytest.mark.parametrize("dtype", (np.int64, np.uint64))
+def test_codes_to_bits_reads_signed_and_unsigned_codes(dtype):
+    # int64 is the dtype of RowSummary.codes and of every code the engines build.
+    codes = np.array([5, 0, (1 << 62) - 1], dtype=dtype)
+    bits = codes_to_bits(codes, 62)
+    assert bits.shape == (3, 62) and bits.dtype == bool
+    assert bits[0, -4:].tolist() == [False, True, False, True] and not bits[0, :-4].any()
+    assert not bits[1].any() and bits[2].all()
+    assert codes_to_bits(np.array([5], dtype=dtype), 4).tolist() == [[False, True, False, True]]

@@ -377,7 +377,7 @@ def _stratum_at_a_time(req, M, alloc, seed, rep):
     heads = path_table(params.up_probs[:r], params.u, params.d, req.inputs.S0)
     drawn = sample_rows(mc_stream(seed, 0, rep), params.up_probs[r:], sum(alloc),
                         params.u, params.d)
-    sample = codes_to_bits(drawn.codes.astype(np.uint64), n - r)
+    sample = codes_to_bits(drawn.codes, n - r)
     thetas, sses, row = np.zeros(M), np.zeros(M), 0
     for m, count in enumerate(alloc):
         if count:
