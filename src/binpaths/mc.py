@@ -18,12 +18,17 @@ paths.  The basic estimator is the case r = 0, through payoff_batch.
 A callable payoff is called on each path's code instead, the stratum's
 code shifted past the suffix's (payoffs.code_payoffs).
 sample_rows is the one sampler.  It cuts a row into RowSummary's words
-of at most 12 steps and draws each word's code with Walker's alias
-method from one 64-bit Philox output: the top w bits pick a bucket of
-the word's memoised alias table, and the low 64 - w bits are compared
-with the bucket's integer threshold.  The word codes then fold as
-RowSummary folds them, so no call builds a bit matrix or a rows x steps
-float array.
+of at most 12 steps and draws each word with Walker's alias method from
+one 64-bit Philox output: the top w bits pick a bucket of the word's
+alias table, and the low 64 - w bits are compared with the bucket's
+integer threshold, as one compare of the whole output with the
+bucket's key.  Each output becomes one index into the word's memoised
+resolved table (_word_draws), which holds the code and state of the
+bucket's own word and of its alias.  RowSummary folds from those
+indices only the statistics the payoff reads, so no call builds a bit
+matrix or a rows x steps float array.  The memos hold at most 8
+resolved tables (288 KB each), 8 alias tables (64 KB) and 8 word tables
+(128 KB), 3.75 MB in all.
 The stratified estimators work in chunks of consecutive whole strata,
 about CHUNK sampled bits each (see _stratified).  The shared estimator
 joins all M prefix rows with its one sample through exact.join_rows,
@@ -65,12 +70,13 @@ from .paths import (
     PathPartition,
     PathTable,
     RowSummary,
+    _word_table,
     block_probabilities,
     block_probability,  # noqa: F401  the benchmark's tracer wraps mc.block_probability
     path_table,
     word_widths,
 )
-from .payoffs import PayoffKind, code_payoffs, join_payoff, payoff_batch
+from .payoffs import PayoffKind, code_payoffs, join_payoff, payoff_batch, suffix_statistic
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ def sample_bits(rng: np.random.Generator, probs: np.ndarray, count: int) -> np.n
     return bits
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=8)
 def _alias_table(probs: tuple) -> tuple:
     """Walker alias table (thr, alias) of the words of len(probs) steps.
 
@@ -195,6 +201,32 @@ def _alias_table(probs: tuple) -> tuple:
     return np.array(thr, dtype=np.uint64), np.array(alias, dtype=np.int64)
 
 
+@lru_cache(maxsize=8)
+def _word_draws(probs: tuple, u: float, d: float) -> tuple:
+    """(key, code, states): a raw value's entry in the words of len(probs) steps.
+
+    A word of w steps resolves the value v of bucket i = v >> (64 - w)
+    by v >= key[i], key[i] = (i << (64 - w)) + thr[i] in uint64, which is
+    _alias_table's rule (v's low 64 - w bits >= thr[i]) in one compare.
+    key[i] wraps to 0 only in the last bucket and only where thr[i] is
+    the whole 2^(64 - w); Vose's pairing left alias[i] = i there, so
+    every value still draws word i.
+    Entries 2i and 2i + 1 are word i and word alias[i]: code maps an
+    entry to its word, and states holds the entry's last, total and low
+    from the word table of (u, d).  Memoised and read-only: 72 B a
+    bucket, 288 KB at 2^WORD_BITS buckets.
+    """
+    w = len(probs)
+    thr, alias = _alias_table(probs)
+    key = (np.arange(1 << w, dtype=np.uint64) << np.uint64(64 - w)) + thr
+    code = np.stack((np.arange(1 << w), alias), axis=1).ravel()
+    table = _word_table(w, u, d)
+    states = PathTable(None, table.last[code], table.total[code], table.low[code])
+    for a in (key, code, *states[1:]):
+        a.flags.writeable = False
+    return key, code, states
+
+
 def sample_rows(rng: np.random.Generator, probs: np.ndarray, count: int,
                 u: float, d: float, first: int = 0) -> RowSummary:
     """RowSummary of rows first..first + count - 1 of a new stream rng.
@@ -204,25 +236,25 @@ def sample_rows(rng: np.random.Generator, probs: np.ndarray, count: int,
     i * words; Philox gives four values per counter step, so rng skips
     to row first in O(1).  A word of w steps is drawn from its alias
     table: the value's top w bits pick bucket i, and its low 64 - w bits
-    below thr[i] keep i, else give alias[i].
+    below thr[i] keep i, else give alias[i].  Each value becomes one
+    index, 2i or 2i + 1, into the word's _word_draws table, so the
+    summary folds only the statistics read from it.
     """
     widths = word_widths(probs.shape[0], u, d)
     start = first * len(widths)
     rng.bit_generator.advance(start // 4)
     rng.bit_generator.random_raw(start % 4)
     raw = rng.bit_generator.random_raw(count * len(widths)).reshape(count, len(widths))
-
-    def words():
-        for j, (w, end) in enumerate(zip(widths, accumulate(widths))):
-            thr, alias = _alias_table(tuple(probs[end - w:end].tolist()))
-            value = raw[:, j]
-            word = (value >> (64 - w)).view(np.int64)
-            value &= (1 << (64 - w)) - 1
-            moved = value >= thr[word]
-            np.copyto(word, alias[word], where=moved)
-            yield w, word
-
-    return RowSummary.of_words(count, u, d, words())
+    words = []
+    for j, (w, end) in enumerate(zip(widths, accumulate(widths))):
+        key, code, states = _word_draws(tuple(probs[end - w:end].tolist()), u, d)
+        value = raw[:, j]
+        index = (value >> (64 - w)).view(np.int64)
+        moved = value >= key[index]
+        index <<= 1
+        index |= moved
+        words.append((w, index, code, states))
+    return RowSummary.of_words(count, u, d, words)
 
 
 def sample_path(params, rng: np.random.Generator) -> BernoulliPath:
@@ -476,6 +508,8 @@ def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
     prefix = _prefix_table(req, cfg.M)
     probs = params.up_probs[cfg.M.bit_length() - 1:]
     suffix = sample_rows(mc_stream(cfg.seed, 0, rep), probs, cfg.R, params.u, params.d)
+    # join_rows' threads share the summary, so they find its statistic folded.
+    getattr(suffix, suffix_statistic(req.kind))
 
     def weigh(lo: int, hi: int, values: np.ndarray) -> tuple:
         means = values.mean(axis=1)

@@ -15,15 +15,16 @@ share by those ranges, and the engines' prefix tables index rows by them.
 A word table (path_table) holds the state after every word of j steps.
 The exact engine joins prefix and suffix tables; RowSummary reads rows
 the same way, as words of at most WORD_BITS steps (word_widths) whose
-states come from memoised word tables and fold left to right.  Bit rows
-are cut into those words; the Monte Carlo sampler draws them.
+states come from memoised tables and fold left to right, each statistic
+on its first read.  Bit rows are cut into those words; the Monte Carlo
+sampler draws them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
@@ -214,12 +215,12 @@ WORD_BITS = 12
 WORD_REACH = 700.0
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=8)
 def _word_table(width: int, u: float, d: float) -> PathTable:
     """path_table of every width-step word from price 1, read-only.
 
     Memoised: it depends on (width, u, d) alone, and at most 2^WORD_BITS
-    entries of 32 B make one table.
+    entries of 32 B make one table, 128 KB.
     """
     table = path_table(np.zeros(width), u, d, 1.0)
     for a in table:
@@ -244,18 +245,23 @@ def word_widths(n: int, u: float, d: float) -> list:
 class RowSummary:
     """PathTable's last, total and low of rows from price 1, and their codes.
 
-    A row is given as bits (step 1 first) or word by word (of_words);
-    codes holds each row's path code, step 1 the most significant of n
-    bits, as in codes_to_bits.  Bit rows are packed into their codes
-    and cut into the words of word_widths.  Every word's state is read
-    from a memoised word table, and the words fold left to right:
-    last * last', total + last * total' and fmin(low, last * low'), so
-    no rows x steps float array is built.  Moves beyond
-    e^(WORD_REACH / WORD_BITS) take narrower words, so no table entry is
-    0 or inf and the fold makes no 0 * inf.  When one word is the row
-    (n <= WORD_BITS at ordinary moves), last is the step-by-step product
-    bit for bit.  Rows with no steps are the empty word: last 1,
-    total 0 and low +inf, as in a table of zero steps.
+    A row is held as one index per word of word_widths into a table of
+    word states (last, total and low from price 1): given bits (step 1
+    first) are packed into their codes and cut into words, each indexing
+    the memoised word table of its width by its code; sampled rows
+    (of_words) index a sampler's table, whose code array maps an index
+    to the word's code (bit rows need none).  codes holds each row's path code, step 1 the
+    most significant of n bits, as in codes_to_bits.  Each statistic is
+    folded on its first read and kept, so a payoff pays only for what it
+    reads: the words fold left to right, last * last',
+    total + last * total' and fmin(low, last * low'), codes side by side,
+    and no rows x steps float array is built.  Reading is not locked:
+    a summary shared by threads has its statistics read before they
+    start.  Moves beyond e^(WORD_REACH / WORD_BITS) take narrower words,
+    so no table entry is 0 or inf and the fold makes no 0 * inf.  When
+    one word is the row (n <= WORD_BITS at ordinary moves), last is the
+    step-by-step product bit for bit.  Rows with no steps are the empty
+    word: last 1, total 0 and low +inf, as in a table of zero steps.
     """
 
     def __init__(self, bits: np.ndarray, u: float, d: float):
@@ -267,34 +273,63 @@ class RowSummary:
         if n != 8 * size:
             wide = np.zeros((rows, 8 * size), dtype=bool)
             wide[:, 8 * size - n:] = bits
-        codes = np.packbits(wide.reshape(-1)).view(f">u{size}").astype(np.int64)
+        self.codes = np.packbits(wide.reshape(-1)).view(f">u{size}").astype(np.int64)
         widths = word_widths(n, u, d)
-        self._fold(rows, u, d, ((w, (codes >> (n - end)) & ((1 << w) - 1))
-                                for w, end in zip(widths, accumulate(widths))))
+        # The words index the word tables by their codes; codes is already set.
+        self._set_words(rows, u, d, [
+            (w, (self.codes >> (n - end)) & ((1 << w) - 1), None, _word_table(w, u, d))
+            for w, end in zip(widths, accumulate(widths))])
 
     @classmethod
-    def of_words(cls, rows: int, u: float, d: float, words) -> "RowSummary":
-        """The summary of rows given as (width, code of every row's word) pairs, step 1 first."""
+    def of_words(cls, rows: int, u: float, d: float, words: list) -> "RowSummary":
+        """The summary of rows given word by word, step 1 first.
+
+        Each word is (width, index, code, table): every row's index into
+        table's last, total and low, and code[index] is the word's code.
+        """
         summary = cls.__new__(cls)
-        summary._fold(rows, u, d, words)
+        summary._set_words(rows, u, d, words)
         return summary
 
-    def _fold(self, rows: int, u: float, d: float, words) -> None:
-        codes = np.zeros(rows, dtype=np.int64)
-        last = total = low = None
-        for width, code in words:
+    def _set_words(self, rows: int, u: float, d: float, words: list) -> None:
+        # Rows of no steps hold the one empty word, whose code is 0.
+        self._words = words or [
+            (0, np.zeros(rows, dtype=np.int64), np.zeros(1, dtype=np.int64), _word_table(0, u, d))]
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        codes = np.zeros(self._words[0][1].shape[0], dtype=np.int64)
+        for width, index, code, _ in self._words:
             codes <<= width
-            codes |= code
-            table = _word_table(width, u, d)
-            if last is None:
-                last, total, low = (a[code] for a in table[1:])
-            else:
-                total += last * table.total[code]
-                np.fmin(low, last * table.low[code], out=low)
-                last *= table.last[code]
-        if last is None:
-            last, total, low = (a[codes] for a in _word_table(0, u, d)[1:])
-        self.codes, self.last, self.total, self.low = codes, last, total, low
+            codes |= code[index]
+        return codes
+
+    @cached_property
+    def last(self) -> np.ndarray:
+        return self._fold("last")
+
+    @cached_property
+    def total(self) -> np.ndarray:
+        return self._fold("total")
+
+    @cached_property
+    def low(self) -> np.ndarray:
+        return self._fold("low")
+
+    def _fold(self, name: str) -> np.ndarray:
+        """Statistic name of every row, folded over its words from the running last price."""
+        (_, index, _, table), *rest = self._words
+        last = table.last[index]
+        stat = last if name == "last" else getattr(table, name)[index]
+        for k, (_, index, _, table) in enumerate(rest, 1):
+            if name == "total":
+                stat += last * table.total[index]
+            elif name == "low":
+                np.fmin(stat, last * table.low[index], out=stat)
+            # total and low read the last price before the final word only.
+            if name == "last" or k < len(rest):
+                last *= table.last[index]
+        return stat
 
 
 def codes_to_bits(codes: np.ndarray, n: int) -> np.ndarray:

@@ -35,6 +35,14 @@ PayoffLike = Union[PayoffKind, Callable]
 
 _PATH_INDEPENDENT = frozenset({PayoffKind.EUROPEAN_CALL, PayoffKind.EUROPEAN_PUT})
 
+# The one suffix statistic each kind's join_payoff reads.
+_SUFFIX_STATISTIC = {
+    PayoffKind.EUROPEAN_CALL: "last",
+    PayoffKind.EUROPEAN_PUT: "last",
+    PayoffKind.ASIAN_PUT: "total",
+    PayoffKind.FIXED_LOOKBACK_PUT: "low",
+}
+
 
 def parse_payoff(name: str) -> PayoffKind:
     """Map a CLI tag to its kind.  The tag set is closed."""
@@ -51,6 +59,11 @@ def is_path_dependent(kind: PayoffLike) -> bool:
     if isinstance(kind, PayoffKind):
         return kind not in _PATH_INDEPENDENT
     return True
+
+
+def suffix_statistic(kind: PayoffLike) -> str:
+    """The RowSummary attribute a payoff reads of its rows: codes for a callable."""
+    return _SUFFIX_STATISTIC[kind] if isinstance(kind, PayoffKind) else "codes"
 
 
 def join_payoff(kind: PayoffKind, K: float, n: int, prefix: PathTable,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from binpaths import (
+    MAX_DEPTH,
     InfeasibleAllocation,
     InvalidInput,
     InvalidWorkerCount,
@@ -25,13 +26,14 @@ from binpaths import (
     mc_stream,
     run_repetitions,
     sample_path,
+    value_exact_parallel,
     value_exact_serial,
     with_custom_probs,
 )
-from binpaths.exact import CHUNK
+from binpaths.exact import CHUNK, join_rows
 from binpaths.mc import _alias_table, sample_bits, sample_rows
 from binpaths.paths import RowSummary, codes_to_bits, path_table, word_widths
-from binpaths.payoffs import join_payoff
+from binpaths.payoffs import join_payoff, payoff_batch
 
 from oracles import brute_payoff, brute_prices
 
@@ -154,6 +156,30 @@ def test_alias_tables_hold_the_word_masses_exactly(probs):
         assert abs(m / 2.0 ** 64 - weight[c]) <= slack
         if weight[c] == 0.0:
             assert m == 0 and thr[c] == 0 and weight[alias[c]] > 0.0
+
+
+@pytest.mark.parametrize("probs, wraps", [
+    ((1.0,) * 12, True), ((0.5,) * 12, True), ((1.0,) * 3, True),
+    ((0.999,) * 12, False), ((1.0, 0.0, 1.0), False),
+], ids=["all-up", "fair", "all-up-3", "near-all-up", "one-path"])
+def test_sample_rows_keep_the_alias_rule_where_the_top_key_wraps(probs, wraps):
+    # The sampler compares a whole raw value with the bucket's key
+    # (i << (64 - w)) + thr[i], which wraps to 0 in the top bucket when its
+    # threshold is the whole 2^(64 - w).  Every drawn word, the top bucket's
+    # included, is still the mask-and-compare rule's.
+    w = len(probs)
+    thr, alias = _alias_table(probs)
+    assert (int(thr[-1]) == 1 << (64 - w)) is wraps
+    u, d = DESK_PARAMS.u, DESK_PARAMS.d
+    assert word_widths(w, u, d) == [w]
+    drawn = sample_rows(mc_stream(6), np.array(probs), 1 << 16, u, d)
+    raw = mc_stream(6).bit_generator.random_raw(1 << 16).tolist()
+    assert any(value >> (64 - w) == (1 << w) - 1 for value in raw)
+    want = []
+    for value in raw:
+        i = value >> (64 - w)
+        want.append(i if value & ((1 << (64 - w)) - 1) < int(thr[i]) else int(alias[i]))
+    assert drawn.codes.tolist() == want
 
 
 _WIDE = derive_crr(MarketInputs(S0=1.0, K=1.0, q=0.0, sigma=80.0, T=18 / 62, N=18))
@@ -460,13 +486,49 @@ def test_value_is_discounted_stratum_mixture():
     assert est.value == rebuilt
 
 
+def _code_parity(params, S0, K, path):
+    return float(path.code & 1)
+
+
 @pytest.mark.parametrize("estimator", STRATIFIED)
 def test_eval_threads_do_not_change_results(estimator):
-    cfg = McConfig(R=512, M=8, seed=13)
-    lone = estimator(_desk_req(), cfg, eval_threads=1)
-    for threads in (2, 4):
-        threaded = estimator(_desk_req(), cfg, eval_threads=threads)
-        assert threaded == lone
+    # 8192 draws of 9 sampled steps fill 3 chunks of strata (8 at equal
+    # allocation), and the shared sample joins 8 prefixes in 2 batches.
+    cfg = McConfig(R=8192, M=8, seed=13)
+    for kind in [*PayoffKind, _code_parity]:
+        lone = estimator(_desk_req(kind), cfg, eval_threads=1)
+        for threads in (1, 2, 4):
+            threaded = estimator(_desk_req(kind), cfg, eval_threads=threads)
+            assert threaded == lone
+
+
+@pytest.mark.parametrize("kind, folded", [
+    (PayoffKind.EUROPEAN_CALL, "last"), (PayoffKind.EUROPEAN_PUT, "last"),
+    (PayoffKind.ASIAN_PUT, "total"), (PayoffKind.FIXED_LOOKBACK_PUT, "low"),
+    (_code_parity, "codes"),
+], ids=["euro-call", "euro-put", "asian-put", "lookback-put", "callable"])
+def test_a_payoff_folds_only_the_statistic_it_reads(kind, folded, monkeypatch):
+    # Sampled rows keep one index per word; a statistic is folded when first
+    # read, so an asian-put leaves low and codes unfolded.
+    inputs = replace(DESK, N=32)
+    params = derive_crr(inputs)
+    rows = sample_rows(mc_stream(4), params.up_probs, 256, params.u, params.d)
+    assert set(vars(rows)) == {"_words"}
+    payoff_batch(kind, params, inputs.S0, inputs.K, rows)
+    assert set(vars(rows)) == {"_words", folded}
+
+    # estimate_shared shares one summary between join_rows' threads, which
+    # only read: the payoff's statistic is folded before join_rows starts them.
+    seen = []
+
+    def spy(req, prefix, suffix, reduce, threads):
+        seen.append(set(vars(suffix)) - {"_words"})
+        return join_rows(req, prefix, suffix, reduce, threads)
+
+    monkeypatch.setattr("binpaths.mc.join_rows", spy)
+    req = ValuationRequest(inputs=inputs, params=params, kind=kind)
+    estimate_shared(req, McConfig(R=256, M=8, seed=4), eval_threads=2)
+    assert seen == [{folded}]
 
 
 def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_count():
@@ -541,6 +603,21 @@ def test_shared_chunks_match_brute_force_per_draw():
         inner += block_probability(params, part, m) * values
     assert est.value == pytest.approx(math.exp(-0.06) * inner.mean(), rel=1e-12)
     assert est.variance == pytest.approx(math.exp(-0.12) * inner.var() / 2048, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", [PayoffKind.EUROPEAN_CALL, PayoffKind.EUROPEAN_PUT,
+                                  PayoffKind.FIXED_LOOKBACK_PUT], ids=lambda k: k.value)
+@pytest.mark.parametrize("estimator", [estimate_basic, estimate_partitioned])
+def test_deepest_tree_estimates_land_near_the_merged_state_value(estimator, kind):
+    # At N=62 a whole row folds six sampled words (11, 11, 10, 10, 10 and
+    # 10 steps); the merged-state table gives the exact value to hold the
+    # estimates to, within 5 standard errors.
+    inputs = replace(DESK, N=MAX_DEPTH)
+    req = ValuationRequest(inputs=inputs, params=derive_crr(inputs), kind=kind, force_large=True)
+    assert word_widths(MAX_DEPTH, req.params.u, req.params.d) == [11, 11, 10, 10, 10, 10]
+    exact = value_exact_parallel(req)
+    est = estimator(req, McConfig(R=1 << 14, M=1 if estimator is estimate_basic else 64, seed=62))
+    assert abs(est.value - exact) <= 5.0 * est.std_error
 
 
 # At N=62 the path codes lie above 2^53; at M=2^N the suffix has no steps.
