@@ -1,9 +1,10 @@
 """Valuation of path-dependent payoffs on recombinant binomial trees.
 
-Exact expected values by full path enumeration (serial or partitioned
-across workers), a closed-form leaf evaluation for European payoffs,
-and three Monte Carlo estimators (basic, partitioned, shared-sample)
-with variance estimates, plus a benchmarking harness and a CLI.
+Exact expected values by merged lattice states or by path enumeration
+(serial or partitioned across workers), a closed-form leaf evaluation
+for European payoffs, and three Monte Carlo estimators (basic,
+partitioned, shared-sample) with variance estimates, plus a
+benchmarking harness and a CLI.
 """
 
 from .errors import (

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_count
 
 BENCH_CSV_HEADER = "N,M,wall_seconds,speedup,efficiency,baseline_M"
 
@@ -60,8 +60,7 @@ def run_bench(pairs: Iterable, runner: Callable, repetitions: int = 3) -> list:
     speedup(M) = baseline_M * wall(baseline) / wall(M) and
     efficiency(M) = speedup(M) / M.
     """
-    if not isinstance(repetitions, int) or repetitions < 1:
-        raise InvalidInput(f"repetitions must be a positive integer, got {repetitions!r}")
+    check_count("repetitions", repetitions, 1, InvalidInput)
     pairs = list(pairs)
     if not pairs:
         raise InvalidInput("empty benchmark grid")

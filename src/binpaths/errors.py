@@ -28,6 +28,12 @@ class InvalidWorkerCount(PricingError):
     pass
 
 
+def check_count(name: str, value, floor: int, error: type) -> None:
+    """Raise error unless value is an int of at least floor; a bool is not a count."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < floor:
+        raise error(f"{name} must be an integer of at least {floor}, got {value!r}")
+
+
 class RankOutOfRange(PricingError):
     pass
 

@@ -3,12 +3,13 @@
 The value is e^{-qT} * sum over every path of p(path) * payoff(path).
 value_exact_parallel takes one of two routes to it.
 
-Merged states (euro-call, euro-put, lookback-put).  On the recombinant
-lattice a path's price after any step is fixed by its level h = ups -
-downs, and these kinds read only the final level and the minimum level
-m.  One forward pass over the steps (min_level_weights) merges every
-path into its (h, m) state, O(N^2) work per step, and the states join
-the empty word through join_payoff as leaves do (Hull & White, J.
+Merged states (euro-call, euro-put, lookback-put: the kinds whose
+payoffs.suffix_statistic is last or low).  On the recombinant lattice a
+path's price after any step is fixed by its level h = ups - downs, and
+these kinds read only the final level and the minimum level m.  One
+forward pass over the steps (min_level_weights) merges every path into
+its (h, m) state, O(N^2) work per step, and the states are priced as
+the leaf formula prices its leaves (_value_end_states; Hull & White, J.
 Derivatives, 1993).  This route runs inline on no pool.
 
 Enumeration (asian-put and callables).  Each path splits into a k-step
@@ -28,8 +29,8 @@ sums its terms once with math.fsum, which is exactly rounded and so
 independent of their order, and discounts once.
 
 Both routes keep the same rules: check_enumeration refuses N >
-LARGE_DEPTH without force_large, and more workers than 2^N paths raise
-InvalidWorkerCount.
+LARGE_DEPTH without force_large, and paths.check_fits refuses more
+workers than 2^N paths.
 
 Threads: _map_in_order turns every thread request (workers here,
 eval_threads in mc) into contiguous runs of a call's batches or chunks,
@@ -55,12 +56,14 @@ from .errors import (
     NonConstantProbs,
     NonFiniteValue,
     PathDependentPayoff,
+    check_count,
     quiet_non_finite,
 )
 from .model import MarketInputs, TreeParams, _binomial_pmf, leaf_prices
 # The benchmark's tracer wraps exact.codes_to_bits and exact.payoff_batch.
-from .paths import PathTable, RowSummary, codes_to_bits, path_table  # noqa: F401
-from .payoffs import PayoffKind, PayoffLike, code_payoffs, is_path_dependent, join_payoff
+from .paths import PathTable, RowSummary, check_fits, codes_to_bits, path_table  # noqa: F401
+from .payoffs import (PayoffKind, PayoffLike, code_payoffs, is_path_dependent, join_payoff,
+                      suffix_statistic)
 from .payoffs import payoff_batch  # noqa: F401
 
 # Above this depth, enumeration of 2^N paths needs an explicit opt-in.
@@ -78,10 +81,6 @@ ROW_BITS = 10
 # Paths evaluated per vectorized batch of a join.
 CHUNK = 1 << 15
 
-# Kinds that read only the final level and the minimum level of a path.
-MERGED_KINDS = frozenset({PayoffKind.EUROPEAN_CALL, PayoffKind.EUROPEAN_PUT,
-                          PayoffKind.FIXED_LOOKBACK_PUT})
-
 
 @dataclass(frozen=True)
 class ValuationRequest:
@@ -94,10 +93,7 @@ class ValuationRequest:
     force_large: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.workers, int) or isinstance(self.workers, bool) or self.workers < 1:
-            raise InvalidWorkerCount(
-                f"workers must be a positive integer, got {self.workers!r}"
-            )
+        check_count("workers", self.workers, 1, InvalidWorkerCount)
         if self.params.n_steps != self.inputs.N:
             raise LengthMismatch(
                 f"tree has {self.params.n_steps} steps but inputs say N={self.inputs.N}"
@@ -109,17 +105,18 @@ def join_rows(req: ValuationRequest, prefix: PathTable, suffix: PathTable | RowS
     """reduce(lo, hi, values) of every batch of prefix rows, in row order.
 
     values[i, j] is the payoff of prefix lo + i followed by suffix j: a
-    word of a suffix table, which lists them all in code order, or a
-    sampled row.  A batch is max(1, CHUNK // cols) rows from a multiple
-    of that count, so the batches depend on the table sizes alone.
-    _map_in_order hands each thread one run of whole batches, and a run
-    builds its batches in one buffer, which reduce may overwrite.
+    word of a suffix table or a sampled row.  The one suffix statistic
+    the payoff reads is read here, before any thread starts, so threads
+    only read a shared RowSummary.  A batch is max(1, CHUNK // cols) rows
+    from a multiple of that count, so the batches depend on the sizes
+    alone.  _map_in_order hands each thread one run of whole batches,
+    and a run builds its batches in one buffer, which reduce may
+    overwrite.
     """
     kind, K, n = req.kind, req.inputs.K, req.inputs.N
-    rows, cols = prefix.last.shape[0], suffix.last.shape[0]
+    tails = getattr(suffix, suffix_statistic(kind))
+    rows, cols = prefix.last.shape[0], tails.shape[0]
     step = max(1, CHUNK // cols)
-    if not isinstance(kind, PayoffKind):
-        tails = suffix.codes if isinstance(suffix, RowSummary) else np.arange(cols)
 
     def run(first: int, end: int) -> list:
         out = []
@@ -200,7 +197,7 @@ def check_enumeration(n: int, force_large: bool) -> None:
 
 
 def value_exact_serial(req: ValuationRequest) -> float:
-    """Full enumeration as a single worker; ignores req.workers."""
+    """value_exact_parallel on one worker; ignores req.workers."""
     return value_exact_parallel(replace(req, workers=1))
 
 
@@ -214,11 +211,8 @@ def value_exact_parallel(req: ValuationRequest) -> float:
     """
     check_enumeration(req.inputs.N, req.force_large)
     n, m = req.inputs.N, req.workers
-    if m > 1 << n:
-        raise InvalidWorkerCount(
-            f"worker count {m} exceeds the {1 << n} paths of an {n}-step tree"
-        )
-    if req.kind in MERGED_KINDS:
+    check_fits("worker count", m, n)
+    if suffix_statistic(req.kind) in ("last", "low"):
         return _value_merged(req)
     # A row grid fixed by N alone, whatever the worker count.
     params, k = req.params, min(n, max(n - SUFFIX_BITS, ROW_BITS))
@@ -232,6 +226,13 @@ def value_exact_parallel(req: ValuationRequest) -> float:
     partials = np.concatenate(join_rows(req, prefix, suffix, row_partials, m))
     assert partials.size * suffix.weight.size == 1 << n, "path accounting mismatch"
     return _discounted_sum(req, partials.tolist())
+
+
+def _value_end_states(req: ValuationRequest, states: PathTable) -> float:
+    """_discounted_sum of weight * payoff over whole-path end states: leaves or (h, m) states."""
+    values = join_payoff(req.kind, req.inputs.K, req.inputs.N, states,
+                         path_table((), 1.0, 1.0, 1.0))
+    return _discounted_sum(req, (states.weight * values).tolist())
 
 
 def _discounted_sum(req: ValuationRequest, terms: list) -> float:
@@ -267,19 +268,17 @@ def min_level_weights(probs: np.ndarray) -> np.ndarray:
 
 
 def _value_merged(req: ValuationRequest) -> float:
-    """A European or lookback-put value from min_level_weights, inline.
+    """The value of a kind that reads the last price or the minimum, inline.
 
     Every path in state (h, m) ends at S0 * u^h and has minimum S0 * u^m
-    (d^-h below level 0), so the table is a PathTable of states, joined
-    with the empty word as value_leaf_formula joins its leaves.
+    (d^-h below level 0).
     """
     params, S0, n = req.params, req.inputs.S0, req.inputs.N
     price = np.concatenate((S0 * params.d ** np.arange(n, 0, -1),
                             S0 * params.u ** np.arange(n + 1)))
     weight = min_level_weights(params.up_probs).ravel()
-    states = PathTable(weight, np.repeat(price, price.size), None, np.tile(price, price.size))
-    values = join_payoff(req.kind, req.inputs.K, n, states, path_table((), 1.0, 1.0, 1.0))
-    return _discounted_sum(req, (weight * values).tolist())
+    return _value_end_states(req, PathTable(weight, np.repeat(price, price.size), None,
+                                            np.tile(price, price.size)))
 
 
 @quiet_non_finite
@@ -299,11 +298,6 @@ def value_leaf_formula(req: ValuationRequest) -> float:
         raise NonConstantProbs(
             "leaf formula needs one constant up probability across steps"
         )
-    n = req.inputs.N
-    weights = _binomial_pmf(n, p)
-    # Each leaf is the end state of whole paths, extended by the empty
-    # word; a European payoff reads nothing but the last price.
-    leaves = PathTable(weights, leaf_prices(req.params, req.inputs.S0), None, None)
-    values = join_payoff(req.kind, req.inputs.K, n, leaves, path_table((), 1.0, 1.0, 1.0))
-    disc = math.exp(-req.inputs.q * req.inputs.T)
-    return _finite(disc * float(np.dot(weights, values)))
+    weights = _binomial_pmf(req.inputs.N, p)
+    return _value_end_states(req, PathTable(weights, leaf_prices(req.params, req.inputs.S0),
+                                            None, None))

@@ -63,7 +63,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InfeasibleAllocation, InvalidInput, InvalidWorkerCount, quiet_non_finite
+from .errors import (InfeasibleAllocation, InvalidInput, InvalidWorkerCount, check_count,
+                     quiet_non_finite)
 from .exact import CHUNK, ValuationRequest, _finite, _map_in_order, join_rows
 from .paths import (
     BernoulliPath,
@@ -73,10 +74,11 @@ from .paths import (
     _word_table,
     block_probabilities,
     block_probability,  # noqa: F401  the benchmark's tracer wraps mc.block_probability
+    check_fits,
     path_table,
     word_widths,
 )
-from .payoffs import PayoffKind, code_payoffs, join_payoff, payoff_batch, suffix_statistic
+from .payoffs import PayoffKind, code_payoffs, join_payoff, payoff_batch
 
 
 @dataclass(frozen=True)
@@ -89,14 +91,8 @@ class McConfig:
     reps: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.R, int) or isinstance(self.R, bool) or self.R < 1:
-            raise InvalidInput(f"R must be a positive integer, got {self.R!r}")
-        if not isinstance(self.M, int) or isinstance(self.M, bool) or self.M < 1:
-            raise InvalidInput(f"M must be a positive integer, got {self.M!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise InvalidInput(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not isinstance(self.reps, int) or isinstance(self.reps, bool) or self.reps < 1:
-            raise InvalidInput(f"reps must be a positive integer, got {self.reps!r}")
+        for name, floor in (("R", 1), ("M", 1), ("seed", 0), ("reps", 1)):
+            check_count(name, getattr(self, name), floor, InvalidInput)
 
 
 @dataclass(frozen=True)
@@ -156,19 +152,16 @@ def mc_stream(seed: int, stratum: int = 0, rep: int = 0) -> np.random.Generator:
 def sample_bits(rng: np.random.Generator, probs: np.ndarray, count: int) -> np.ndarray:
     """(count, len(probs)) Bernoulli matrix, bit t true with prob probs[t].
 
-    The uniforms are drawn CHUNK at a time, a block of whole rows each,
-    in the order one rng.random((count, len(probs))) call draws them, so
-    the bits are that call's without its count x steps float matrix.
+    One uniform per bit, row by row: a large count builds the whole
+    count x steps float matrix on the way.
     """
-    n = probs.shape[0]
-    bits = np.empty((count, n), dtype=bool)
-    step = CHUNK // max(n, 1)
-    for lo in range(0, count, step):
-        block = bits[lo:lo + step]
-        np.less(rng.random(block.shape), probs, out=block)
-    return bits
+    return rng.random((count, probs.shape[0])) < probs
 
 
+# Memoised although its one caller, _word_draws, is memoised too: the held
+# arrays change where glibc places later arrays and when it trims its heap.
+# Without them mc-basic has been measured up to 1.5x slower per pass, a gap
+# that closed with glibc's trim and mmap thresholds raised.
 @lru_cache(maxsize=8)
 def _alias_table(probs: tuple) -> tuple:
     """Walker alias table (thr, alias) of the words of len(probs) steps.
@@ -179,9 +172,8 @@ def _alias_table(probs: tuple) -> tuple:
     runs on the exact integers, each of the 2^w buckets holding
     2^(64 - w): bucket i keeps thr[i] of its own word and the rest of
     alias[i].  Exact sums leave no bucket unpaired, so a zero-mass word
-    keeps threshold 0 and an alias of positive mass.  Memoised by the
-    step probabilities: a table of 2^w entries costs a few ms to build
-    and at most 64 KB.
+    keeps threshold 0 and an alias of positive mass.  A table of 2^w
+    entries costs a few ms to build and at most 64 KB.
     """
     w = len(probs)
     n, cap = 1 << w, 1 << (64 - w)
@@ -268,15 +260,9 @@ def _prefix_table(req: ValuationRequest, M: int) -> PathTable:
 
     The weights are the stratum masses, bit for bit block_probability's.
     """
-    n = req.inputs.N
+    check_fits("stratum count", M, req.inputs.N)
     if M & (M - 1) != 0:
-        raise InvalidWorkerCount(
-            f"stratum count must be a power of two, got {M}"
-        )
-    if M > 1 << n:
-        raise InvalidWorkerCount(
-            f"stratum count {M} exceeds the {1 << n} paths of an {n}-step tree"
-        )
+        raise InvalidWorkerCount(f"stratum count must be a power of two, got {M}")
     params = req.params
     r = M.bit_length() - 1
     return path_table(params.up_probs[:r], params.u, params.d, req.inputs.S0)
@@ -508,8 +494,6 @@ def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
     prefix = _prefix_table(req, cfg.M)
     probs = params.up_probs[cfg.M.bit_length() - 1:]
     suffix = sample_rows(mc_stream(cfg.seed, 0, rep), probs, cfg.R, params.u, params.d)
-    # join_rows' threads share the summary, so they find its statistic folded.
-    getattr(suffix, suffix_statistic(req.kind))
 
     def weigh(lo: int, hi: int, values: np.ndarray) -> tuple:
         means = values.mean(axis=1)

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, LengthMismatch, NonFiniteValue, ProbabilityOutOfRange
+from .errors import (InvalidInput, LengthMismatch, NonFiniteValue, ProbabilityOutOfRange,
+                     check_count)
 
 if TYPE_CHECKING:
     from .paths import BernoulliPath
@@ -70,9 +71,8 @@ class MarketInputs:
             raise InvalidInput(f"sigma must be nonnegative and finite, got {self.sigma}")
         if not (self.T > 0.0) or not math.isfinite(self.T):
             raise InvalidInput(f"T must be a positive finite number, got {self.T}")
-        if not isinstance(self.N, int) or isinstance(self.N, bool):
-            raise InvalidInput(f"N must be an integer, got {self.N!r}")
-        if not 1 <= self.N <= MAX_DEPTH:
+        check_count("N", self.N, 1, InvalidInput)
+        if self.N > MAX_DEPTH:
             raise InvalidInput(f"N must be between 1 and {MAX_DEPTH}, got {self.N}")
 
 

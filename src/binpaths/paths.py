@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidWorkerCount, LengthMismatch, RankOutOfRange
+from .errors import InvalidInput, InvalidWorkerCount, LengthMismatch, RankOutOfRange, check_count
 
 if TYPE_CHECKING:
     from .model import TreeParams
@@ -112,15 +112,17 @@ def make_partition(n: int, m: int) -> PathPartition:
     """
     if not 1 <= n <= 62:
         raise InvalidInput(f"n must be between 1 and 62, got {n}")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise InvalidWorkerCount(f"worker count must be a positive integer, got {m!r}")
-    if m > (1 << n):
-        raise InvalidWorkerCount(
-            f"worker count {m} exceeds the {1 << n} paths of an {n}-step tree"
-        )
+    check_count("worker count", m, 1, InvalidWorkerCount)
+    check_fits("worker count", m, n)
     width = min(n, (m - 1).bit_length() + (OVERSUB_BITS if m & (m - 1) else 0))
     blocks = tuple(tuple(range(r, 1 << width, m)) for r in range(m))
     return PathPartition(n=n, m=m, prefix_width=width, blocks=blocks)
+
+
+def check_fits(name: str, count: int, n: int) -> None:
+    """InvalidWorkerCount when count ranks or strata outnumber the 2^n paths of n steps."""
+    if count > 1 << n:
+        raise InvalidWorkerCount(f"{name} {count} exceeds the {1 << n} paths of an {n}-step tree")
 
 
 def _check_rank(partition: PathPartition, rank: int) -> None:
@@ -177,6 +179,11 @@ class PathTable(NamedTuple):
     last: np.ndarray
     total: np.ndarray
     low: np.ndarray
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Each entry's word code: a table lists its words in code order."""
+        return np.arange(self.last.shape[0])
 
     def rows(self, lo: int, hi: int) -> "PathTable":
         """The states of words lo..hi-1 as (rows, 1) column views.
@@ -245,35 +252,24 @@ def word_widths(n: int, u: float, d: float) -> list:
 class RowSummary:
     """PathTable's last, total and low of rows from price 1, and their codes.
 
-    A row is held as one index per word of word_widths into a table of
-    word states (last, total and low from price 1): given bits (step 1
-    first) are packed into their codes and cut into words, each indexing
-    the memoised word table of its width by its code; sampled rows
-    (of_words) index a sampler's table, whose code array maps an index
-    to the word's code (bit rows need none).  codes holds each row's path code, step 1 the
-    most significant of n bits, as in codes_to_bits.  Each statistic is
-    folded on its first read and kept, so a payoff pays only for what it
-    reads: the words fold left to right, last * last',
-    total + last * total' and fmin(low, last * low'), codes side by side,
-    and no rows x steps float array is built.  Reading is not locked:
-    a summary shared by threads has its statistics read before they
-    start.  Moves beyond e^(WORD_REACH / WORD_BITS) take narrower words,
-    so no table entry is 0 or inf and the fold makes no 0 * inf.  When
+    A row is one index per word of word_widths into a table of word
+    states.  Given bits (step 1 first) become their codes, step 1 the
+    most significant bit as in codes_to_bits, and each word indexes the
+    memoised word table of its width by its code; sampled rows
+    (of_words) index a sampler's table.  Each statistic is folded on its
+    first read and kept, so a payoff pays only for what it reads, and no
+    rows x steps float array is built.  Reading is not locked: threads
+    that share a summary find its statistic read before they start
+    (exact.join_rows reads it).  Narrower words at large moves keep every
+    table entry finite and nonzero, so the fold makes no 0 * inf.  When
     one word is the row (n <= WORD_BITS at ordinary moves), last is the
     step-by-step product bit for bit.  Rows with no steps are the empty
-    word: last 1, total 0 and low +inf, as in a table of zero steps.
+    word: last 1, total 0 and low +inf.
     """
 
     def __init__(self, bits: np.ndarray, u: float, d: float):
         rows, n = bits.shape
-        # Rows padded in front to 1, 2, 4 or 8 whole bytes read as big-endian
-        # integers, so each is its path code; the flat packbits is the fast one.
-        size = 1 << max(0, (n - 1) // 8).bit_length()
-        wide = bits
-        if n != 8 * size:
-            wide = np.zeros((rows, 8 * size), dtype=bool)
-            wide[:, 8 * size - n:] = bits
-        self.codes = np.packbits(wide.reshape(-1)).view(f">u{size}").astype(np.int64)
+        self.codes = bits @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
         widths = word_widths(n, u, d)
         # The words index the word tables by their codes; codes is already set.
         self._set_words(rows, u, d, [

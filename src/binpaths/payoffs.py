@@ -33,9 +33,8 @@ PAYOFF_NAMES = tuple(kind.value for kind in PayoffKind)
 # Callables get the same arguments as payoff() minus the leading kind.
 PayoffLike = Union[PayoffKind, Callable]
 
-_PATH_INDEPENDENT = frozenset({PayoffKind.EUROPEAN_CALL, PayoffKind.EUROPEAN_PUT})
-
-# The one suffix statistic each kind's join_payoff reads.
+# The one suffix statistic each kind's join_payoff reads: the one record
+# of what a payoff depends on.
 _SUFFIX_STATISTIC = {
     PayoffKind.EUROPEAN_CALL: "last",
     PayoffKind.EUROPEAN_PUT: "last",
@@ -54,16 +53,14 @@ def parse_payoff(name: str) -> PayoffKind:
     )
 
 
-def is_path_dependent(kind: PayoffLike) -> bool:
-    """False only for kinds that depend on the terminal price alone."""
-    if isinstance(kind, PayoffKind):
-        return kind not in _PATH_INDEPENDENT
-    return True
-
-
 def suffix_statistic(kind: PayoffLike) -> str:
-    """The RowSummary attribute a payoff reads of its rows: codes for a callable."""
+    """The suffix attribute (PathTable or RowSummary) a payoff reads: codes for a callable."""
     return _SUFFIX_STATISTIC[kind] if isinstance(kind, PayoffKind) else "codes"
+
+
+def is_path_dependent(kind: PayoffLike) -> bool:
+    """False only for kinds that read the last price alone."""
+    return suffix_statistic(kind) != "last"
 
 
 def join_payoff(kind: PayoffKind, K: float, n: int, prefix: PathTable,

@@ -85,8 +85,9 @@ def test_grid_validation():
         run_bench([(8, 1), (10, 1), (8, 2)], lambda n, m: None)
     with pytest.raises(InvalidInput):
         run_bench([], lambda n, m: None)
-    with pytest.raises(InvalidInput):
-        run_bench([(8, 1)], lambda n, m: None, repetitions=0)
+    for bad in (0, -1, True, 2.0):
+        with pytest.raises(InvalidInput):
+            run_bench([(8, 1)], lambda n, m: None, repetitions=bad)
 
 
 def test_csv_round_trip_shape(clock):

@@ -146,9 +146,10 @@ def test_enumeration_guard_beyond_depth_28():
 
 
 def test_worker_count_validation():
-    with pytest.raises(InvalidWorkerCount):
-        ValuationRequest(inputs=TOY_INPUTS, params=TOY_PARAMS,
-                         kind=PayoffKind.EUROPEAN_PUT, workers=0)
+    for bad in (0, -1, True, 2.0):
+        with pytest.raises(InvalidWorkerCount):
+            ValuationRequest(inputs=TOY_INPUTS, params=TOY_PARAMS,
+                             kind=PayoffKind.EUROPEAN_PUT, workers=bad)
     req = _toy_req(PayoffKind.EUROPEAN_PUT, workers=5)
     with pytest.raises(InvalidWorkerCount):
         value_exact_parallel(req)  # 5 > 2^2 paths

@@ -30,7 +30,7 @@ from binpaths import (
     value_exact_serial,
     with_custom_probs,
 )
-from binpaths.exact import CHUNK, join_rows
+from binpaths.exact import CHUNK, _map_in_order, join_rows
 from binpaths.mc import _alias_table, sample_bits, sample_rows
 from binpaths.paths import RowSummary, codes_to_bits, path_table, word_widths
 from binpaths.payoffs import join_payoff, payoff_batch
@@ -84,8 +84,7 @@ def test_per_bit_frequency_within_band():
 
 @pytest.mark.parametrize("n", [0, 1, 6, 32, 62])
 def test_sample_bits_are_one_uniform_matrix_compared_with_probs(n):
-    # Blocks of whole rows draw the stream in the order one call draws it;
-    # counts on both sides of a block boundary.
+    # The bits of one uniform matrix, at counts from one row to 2^16 rows.
     probs = np.linspace(0.05, 0.95, n)
     step = CHUNK // max(n, 1)
     for count in (1, step - 1, step, step + 1, 65536):
@@ -361,10 +360,12 @@ def test_stratified_rejects_non_power_of_two():
 
 
 def test_stratified_rejects_more_strata_than_paths():
-    # 2^13 strata of a 12-step tree; R is the smallest each estimator accepts.
-    for estimator, R in zip(STRATIFIED, (1 << 13, 2, 2)):
-        with pytest.raises(InvalidWorkerCount):
-            estimator(_desk_req(), McConfig(R=R, M=1 << 13, seed=0))
+    # 2^12 + 1 and 2^13 strata of a 12-step tree; R is the smallest each
+    # estimator accepts.
+    for M in ((1 << 12) + 1, 1 << 13):
+        for estimator, R in zip(STRATIFIED, (M, 2, 2)):
+            with pytest.raises(InvalidWorkerCount, match="exceeds"):
+                estimator(_desk_req(), McConfig(R=R, M=M, seed=0))
 
 
 @pytest.mark.parametrize("estimator", STRATIFIED)
@@ -518,17 +519,25 @@ def test_a_payoff_folds_only_the_statistic_it_reads(kind, folded, monkeypatch):
     assert set(vars(rows)) == {"_words", folded}
 
     # estimate_shared shares one summary between join_rows' threads, which
-    # only read: the payoff's statistic is folded before join_rows starts them.
-    seen = []
+    # only read: the payoff's statistic is folded when _map_in_order starts
+    # them, and it is still the only one folded when join_rows returns.
+    shared, seen = [], []
 
-    def spy(req, prefix, suffix, reduce, threads):
+    def spy_join(req, prefix, suffix, reduce, threads):
+        shared.append(suffix)
+        batches = join_rows(req, prefix, suffix, reduce, threads)
         seen.append(set(vars(suffix)) - {"_words"})
-        return join_rows(req, prefix, suffix, reduce, threads)
+        return batches
 
-    monkeypatch.setattr("binpaths.mc.join_rows", spy)
+    def spy_map(fn, count, threads):
+        seen.append(set(vars(shared[-1])) - {"_words"})
+        return _map_in_order(fn, count, threads)
+
+    monkeypatch.setattr("binpaths.mc.join_rows", spy_join)
+    monkeypatch.setattr("binpaths.exact._map_in_order", spy_map)
     req = ValuationRequest(inputs=inputs, params=params, kind=kind)
     estimate_shared(req, McConfig(R=256, M=8, seed=4), eval_threads=2)
-    assert seen == [{folded}]
+    assert seen == [{folded}, {folded}]
 
 
 def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_count():
@@ -727,14 +736,11 @@ def test_stratification_reduces_variance_on_path_dependent_payoff():
 
 
 def test_mcconfig_validation():
-    for bad in (
-        dict(R=0),
-        dict(R=16, M=0),
-        dict(R=16, seed=-1),
-        dict(R=16, reps=0),
-    ):
-        with pytest.raises(InvalidInput):
-            McConfig(**bad)
+    # A bool or a float is no count, and each field has its floor: 0 for seed.
+    for field, floor in (("R", 1), ("M", 1), ("seed", 0), ("reps", 1)):
+        for value in (True, False, 2.0, floor - 1, -1):
+            with pytest.raises(InvalidInput):
+                McConfig(**{"R": 16, field: value})
 
 
 def test_shared_requires_two_draws():

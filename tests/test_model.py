@@ -77,6 +77,9 @@ def test_degenerate_probability_raises():
         ("sigma", -0.1),
         ("T", 0.0),
         ("N", 0),
+        ("N", -1),
+        ("N", True),
+        ("N", 2.0),
         ("N", 63),
     ],
 )

@@ -132,8 +132,9 @@ def test_every_rank_owns_one_path_when_m_is_two_to_the_n():
 
 
 def test_worker_count_bounds():
-    with pytest.raises(InvalidWorkerCount):
-        make_partition(3, 0)
+    for bad in (0, -1, True, 2.0):
+        with pytest.raises(InvalidWorkerCount):
+            make_partition(3, bad)
     with pytest.raises(InvalidWorkerCount):
         make_partition(3, 9)
     with pytest.raises(RankOutOfRange):
