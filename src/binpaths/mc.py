@@ -19,7 +19,7 @@ A callable payoff is called on each path's code instead, the stratum's
 code shifted past the suffix's (payoffs.code_payoffs).
 sample_rows is the one sampler.  It cuts a row into RowSummary's words
 of at most 12 steps and draws each word with Walker's alias method from
-one 64-bit Philox output: the top w bits pick a bucket of the word's
+one 64-bit PCG64DXSM output: the top w bits pick a bucket of the word's
 alias table, and the low 64 - w bits are compared with the bucket's
 integer threshold, as one compare of the whole output with the
 bucket's key.  Each output becomes one index into the word's memoised
@@ -38,14 +38,16 @@ one contiguous run of whole chunks or batches per thread, at most one
 thread per usable core.  Chunk and batch bounds depend on the allocation
 (or M and R) and N alone, so no thread count changes a result.
 
-Each repetition draws from one counter-based stream keyed by (master
-seed, repetition index), mc_stream(seed, 0, rep).  A row is one raw
-uint64 of it per word.  The stratified estimators lay their strata's
-suffix rows end to end in it, stratum after stratum, and a chunk jumps
-straight to its first row's counter, so results are reproducible and do
-not depend on which thread evaluates which chunk.  With M = 1 all three
-estimators consume the identical stream and arithmetic and are
-bit-for-bit equal to the basic estimator.
+Each repetition draws from one PCG64DXSM stream keyed by (master seed,
+repetition index), mc_stream(seed, 0, rep).  A row is one raw uint64 of
+it per word.  The stratified estimators lay their strata's suffix rows
+end to end in it, stratum after stratum.  Each thread run of chunks
+makes one generator and jumps it exactly to its first row with
+PCG64DXSM's advance, in O(log) of the distance; its later chunks read
+on from there.  So results are reproducible and do not depend on which
+thread evaluates which chunk.  With M = 1 all three estimators consume
+the identical stream and arithmetic and are bit-for-bit equal to the
+basic estimator.
 
 Estimates are reported on the value scale: value = e^{-qT} * theta_hat
 and variance = e^{-2qT} * Var_hat(theta_hat).  Per-stratum means stay
@@ -140,13 +142,14 @@ class RepetitionSummary:
 
 
 def mc_stream(seed: int, stratum: int = 0, rep: int = 0) -> np.random.Generator:
-    """Independent Philox generator keyed by (seed, stratum, repetition).
+    """Independent PCG64DXSM generator keyed by (seed, stratum, repetition).
 
     The estimators use stratum 0 only: every stratum reads its own rows
-    of mc_stream(seed, 0, rep).
+    of mc_stream(seed, 0, rep).  PCG64DXSM jumps any number of outputs
+    exactly with bit_generator.advance, in O(log) of the distance.
     """
     ss = np.random.SeedSequence(seed, spawn_key=(stratum, rep))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
 def sample_bits(rng: np.random.Generator, probs: np.ndarray, count: int) -> np.ndarray:
@@ -221,21 +224,20 @@ def _word_draws(probs: tuple, u: float, d: float) -> tuple:
 
 def sample_rows(rng: np.random.Generator, probs: np.ndarray, count: int,
                 u: float, d: float, first: int = 0) -> RowSummary:
-    """RowSummary of rows first..first + count - 1 of a new stream rng.
+    """RowSummary of count rows of rng, after skipping first rows from where it stands.
 
     Step t is up with probability probs[t].  Each word of word_widths
-    costs one bit_generator.random_raw() value, so row i starts at value
-    i * words; Philox gives four values per counter step, so rng skips
-    to row first in O(1).  A word of w steps is drawn from its alias
-    table: the value's top w bits pick bucket i, and its low 64 - w bits
-    below thr[i] keep i, else give alias[i].  Each value becomes one
-    index, 2i or 2i + 1, into the word's _word_draws table, so the
-    summary folds only the statistics read from it.
+    costs one bit_generator.random_raw() value, so a row is `words`
+    values; rng skips the first rows with one exact
+    bit_generator.advance(first * words), and a later call on the same
+    rng reads on after the last row drawn.  A word of w steps is drawn
+    from its alias table: the value's top w bits pick bucket i, and its
+    low 64 - w bits below thr[i] keep i, else give alias[i].  Each value
+    becomes one index, 2i or 2i + 1, into the word's _word_draws table,
+    so the summary folds only the statistics read from it.
     """
     widths = word_widths(probs.shape[0], u, d)
-    start = first * len(widths)
-    rng.bit_generator.advance(start // 4)
-    rng.bit_generator.random_raw(start % 4)
+    rng.bit_generator.advance(first * len(widths))
     raw = rng.bit_generator.random_raw(count * len(widths)).reshape(count, len(widths))
     words = []
     for j, (w, end) in enumerate(zip(widths, accumulate(widths))):
@@ -393,10 +395,12 @@ def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: in
     chunks of consecutive whole strata holding about CHUNK sampled bits;
     a stratum opens a new chunk when its first bit passes a multiple of
     CHUNK, so the chunks depend on the allocation and N alone and threads
-    change no result.  A chunk makes a new generator of the stream,
-    draws and summarises all its strata's rows from its first row on in
-    one sample_rows call, joins them with the repeated prefix states in one
-    join_payoff call and reduces every stratum's mean and
+    change no result.  Each thread run of chunks (exact._map_in_order)
+    makes one generator of the stream and jumps it to its first chunk's
+    first row; a run's chunks hold consecutive rows, so each later chunk
+    reads on with no jump.  A chunk draws and summarises all its strata's
+    rows in one sample_rows call, joins them with the repeated prefix
+    states in one join_payoff call and reduces every stratum's mean and
     squared-deviation sum in one segmented reduction.
     var_theta maps those sums to the variance of the combined estimate
     on the theta scale.
@@ -408,16 +412,19 @@ def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: in
     first_bit = first_row * max(1, probs.shape[0])
     bounds = np.append(np.unique(first_bit // CHUNK, return_index=True)[1], cfg.M).tolist()
 
-    def chunk(c: int) -> tuple:
-        lo, hi = bounds[c], bounds[c + 1]
-        draws = alloc[lo:hi]
-        suffix = sample_rows(mc_stream(cfg.seed, 0, rep), probs, int(draws.sum()),
-                             params.u, params.d, int(first_row[lo]))
-        values = _extend_draws(req, prefix, lo, hi, draws, suffix)
-        return _segment_mean_sse(values, draws)
+    def run(first: int, end: int) -> list:
+        rng, out = mc_stream(cfg.seed, 0, rep), []
+        skip = int(first_row[bounds[first]])
+        for c in range(first, end):
+            lo, hi = bounds[c], bounds[c + 1]
+            draws = alloc[lo:hi]
+            suffix = sample_rows(rng, probs, int(draws.sum()), params.u, params.d, skip)
+            values = _extend_draws(req, prefix, lo, hi, draws, suffix)
+            out.append(_segment_mean_sse(values, draws))
+            skip = 0
+        return out
 
-    per = _map_in_order(lambda first, end: [chunk(c) for c in range(first, end)],
-                        len(bounds) - 1, eval_threads)
+    per = _map_in_order(run, len(bounds) - 1, eval_threads)
     thetas = np.concatenate([t for t, _ in per])
     sses = np.concatenate([s for _, s in per])
     return _estimate(

@@ -285,9 +285,10 @@ def test_tracing_hooks_resolve_and_callable_matches_builtin_twin(monkeypatch):
     assert calls["binpaths.mc.payoff_batch"] == 1
     assert calls["binpaths.mc.sample_rows"] == 1
 
-    # The stratified estimators make one stream and one sample_rows call per
-    # chunk of strata, not per stratum.  p = 1 on step 3 leaves the even
-    # strata of M = 8 without mass, and 64 draws of 3 steps fit one chunk.
+    # The stratified estimators make one stream per thread run of chunks
+    # and one sample_rows call per chunk of strata, not per stratum.  p = 1
+    # on step 3 leaves the even strata of M = 8 without mass, and 64 draws
+    # of 3 steps fit one chunk.
     six = MarketInputs(S0=5.0, K=10.0, q=0.06, sigma=0.30, T=1.0, N=6)
     skewed = replace(derive_crr(six), up_probs=np.array([0.4, 0.5, 1.0, 0.5, 0.5, 0.5]))
     skewed_req = ValuationRequest(inputs=six, params=skewed, kind=PayoffKind.ASIAN_PUT)
@@ -298,12 +299,13 @@ def test_tracing_hooks_resolve_and_callable_matches_builtin_twin(monkeypatch):
     assert calls["binpaths.mc.mc_stream"] == 1
     assert calls["binpaths.mc.sample_rows"] == 1
     # 8 strata of 5,000 draws of 3 steps: their first bits 0, 15,000, ...,
-    # 105,000 fall in four CHUNK blocks, so they make four chunks.
+    # 105,000 fall in four CHUNK blocks, so they make four chunks, read in
+    # one thread run from one stream.
     for name in ("binpaths.mc.mc_stream", "binpaths.mc.sample_rows"):
         calls[name] = 0
     mc.estimate_partitioned_equal(skewed_req, mc.McConfig(R=5000, M=8))
     assert {b * 15_000 // mc.CHUNK for b in range(8)} == {0, 1, 2, 3}
-    assert calls["binpaths.mc.mc_stream"] == 4
+    assert calls["binpaths.mc.mc_stream"] == 1
     assert calls["binpaths.mc.sample_rows"] == 4
     assert calls["binpaths.mc.sample_bits"] == 0
 

@@ -131,6 +131,29 @@ def test_sample_rows_read_one_raw_value_per_word_through_alias_tables():
     assert (empty.total == 0.0).all() and (empty.low == math.inf).all()
 
 
+def test_sample_rows_read_on_from_one_generator_as_fresh_streams_jump_there():
+    # One generator read chunk after chunk, each chunk skipping some rows
+    # from where the last one ended, gives each chunk the codes of a fresh
+    # stream jumped to the chunk's absolute first row.  Rows of 7 steps are
+    # one word, so the first rows put the jumps in every residue mod 4; 62
+    # steps are six words a row.
+    u, d = DESK_PARAMS.u, DESK_PARAMS.d
+    for n in (7, 62):
+        probs = np.linspace(0.1, 0.9, n)
+        words = len(word_widths(n, u, d))
+        skips, counts = (3, 0, 2, 0, 1, 0), (5, 1, 2, 0, 7, 9)
+        rng, row, residues = mc_stream(11, 0, 2), 0, set()
+        for skip, count in zip(skips, counts):
+            row += skip
+            residues.add(row * words % 4)
+            got = sample_rows(rng, probs, count, u, d, skip).codes
+            want = sample_rows(mc_stream(11, 0, 2), probs, count, u, d, row).codes
+            assert np.array_equal(got, want)
+            row += count
+        if words == 1:
+            assert residues == {0, 1, 2, 3}
+
+
 @pytest.mark.parametrize("probs", [
     (0.48,) * 12, (0.5,) * 12, (1 / 3,) * 7, np.linspace(0.01, 0.99, 12).tolist(),
     (0.3, 1.0, 0.0, 0.7, 0.5, 1 / 3), (1.0, 0.0, 1.0), (0.0,) * 4, (1e-30, 0.5),
@@ -555,10 +578,10 @@ def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_c
     assert 6 * sum(draws) > 5 * CHUNK
     assert [d > 0 for d in draws[248:280]] == ([False] * 8 + [True] * 8) * 2
     assert sum(d > 0 for d in draws) == 256
-    for threads in (2, 4):
+    for threads in (2, 3, 4):
         assert estimate_partitioned(req, cfg, eval_threads=threads) == est
     equal = estimate_partitioned_equal(req, McConfig(R=32, M=1024, seed=21))
-    for threads in (2, 4):
+    for threads in (2, 3, 4):
         assert estimate_partitioned_equal(req, McConfig(R=32, M=1024, seed=21),
                                           eval_threads=threads) == equal
 
