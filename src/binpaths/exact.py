@@ -16,11 +16,11 @@ Enumeration (asian-put and callables).  Each path splits into a k-step
 prefix and an s = N - k step suffix, with k = min(N, max(N -
 SUFFIX_BITS, ROW_BITS)).  Two tables built once per request hold the
 state of every prefix (from S0) and of every suffix (relative to the
-prefix's end): weight, last price, price sum and minimum.  join_payoff,
-the path kernel the Monte Carlo estimators share, extends a prefix
-state by a suffix entry in a few multiplies and adds, O(1) work per
-path.  Callable payoffs have no summary: the join hands
-payoffs.code_payoffs each path's code, with the same weights.
+prefix's end): weight, last price, price sum, minimum and code.
+payoffs.join_paths, the join the Monte Carlo estimators share, extends
+a prefix state by a suffix entry in a few multiplies and adds, O(1)
+work per path, or hands a callable payoff each path's code, with the
+same weights.
 
 A prefix row, one prefix and all of its suffixes, is the one unit of
 reduction.  join_rows, the batched join that the shared-sample Monte
@@ -61,8 +61,8 @@ from .errors import (
 )
 from .model import MarketInputs, TreeParams, _binomial_pmf, leaf_prices
 # The benchmark's tracer wraps exact.codes_to_bits and exact.payoff_batch.
-from .paths import PathTable, RowSummary, check_fits, codes_to_bits, path_table  # noqa: F401
-from .payoffs import (PayoffKind, PayoffLike, code_payoffs, is_path_dependent, join_payoff,
+from .paths import PathTable, check_fits, codes_to_bits, path_table  # noqa: F401
+from .payoffs import (PayoffLike, is_path_dependent, join_paths, join_payoff, read_statistic,
                       suffix_statistic)
 from .payoffs import payoff_batch  # noqa: F401
 
@@ -100,22 +100,20 @@ class ValuationRequest:
             )
 
 
-def join_rows(req: ValuationRequest, prefix: PathTable, suffix: PathTable | RowSummary,
+def join_rows(req: ValuationRequest, prefix: PathTable, suffix: PathTable,
               reduce, threads: int) -> list:
     """reduce(lo, hi, values) of every batch of prefix rows, in row order.
 
     values[i, j] is the payoff of prefix lo + i followed by suffix j: a
-    word of a suffix table or a sampled row.  The one suffix statistic
-    the payoff reads is read here, before any thread starts, so threads
-    only read a shared RowSummary.  A batch is max(1, CHUNK // cols) rows
+    word of a suffix table or a sampled row, which needs only the
+    statistic the payoff reads.  A batch is max(1, CHUNK // cols) rows
     from a multiple of that count, so the batches depend on the sizes
     alone.  _map_in_order hands each thread one run of whole batches,
     and a run builds its batches in one buffer, which reduce may
     overwrite.
     """
-    kind, K, n = req.kind, req.inputs.K, req.inputs.N
-    tails = getattr(suffix, suffix_statistic(kind))
-    rows, cols = prefix.last.shape[0], tails.shape[0]
+    rows, cols = prefix.last.shape[0], read_statistic(req.kind, suffix).shape[0]
+    steps = req.inputs.N + 1 - rows.bit_length()
     step = max(1, CHUNK // cols)
 
     def run(first: int, end: int) -> list:
@@ -131,11 +129,8 @@ def join_rows(req: ValuationRequest, prefix: PathTable, suffix: PathTable | RowS
         with row_buffer(cols):
             for b in range(first, end):
                 lo, hi = b * step, min((b + 1) * step, rows)
-                if isinstance(kind, PayoffKind):
-                    values = join_payoff(kind, K, n, prefix.rows(lo, hi), suffix, buf[:hi - lo])
-                else:
-                    codes = (np.arange(lo, hi)[:, None] << (n + 1 - rows.bit_length())) | tails
-                    values = code_payoffs(kind, req.params, req.inputs.S0, K, codes)
+                values = join_paths(req.kind, req.params, req.inputs.S0, req.inputs.K,
+                                    prefix.rows(lo, hi), suffix, steps, buf[:hi - lo])
                 out.append(reduce(lo, hi, values))
         return out
 
@@ -299,5 +294,4 @@ def value_leaf_formula(req: ValuationRequest) -> float:
             "leaf formula needs one constant up probability across steps"
         )
     weights = _binomial_pmf(req.inputs.N, p)
-    return _value_end_states(req, PathTable(weights, leaf_prices(req.params, req.inputs.S0),
-                                            None, None))
+    return _value_end_states(req, PathTable(weights, leaf_prices(req.params, req.inputs.S0)))

@@ -10,25 +10,24 @@ r-bit prefix (r = log2 of the stratum count M) and an (N-r)-bit suffix.
 * shared: one set of R suffixes is drawn once and reused by every
   stratum, so each draw yields an inner sum over all M prefixes.
 
-Built-in payoffs go through the exact engine's path kernel, join_payoff.
-One prefix table per call, built from S0 by path_table, holds every
-stratum's mass (its weight) and its state after r steps, and the
-RowSummary of the sampled suffix rows extends that state to whole
-paths.  The basic estimator is the case r = 0, through payoff_batch.
-A callable payoff is called on each path's code instead, the stratum's
-code shifted past the suffix's (payoffs.code_payoffs).
-sample_rows is the one sampler.  It cuts a row into RowSummary's words
-of at most 12 steps and draws each word with Walker's alias method from
-one 64-bit PCG64DXSM output: the top w bits pick a bucket of the word's
-alias table, and the low 64 - w bits are compared with the bucket's
-integer threshold, as one compare of the whole output with the
-bucket's key.  Each output becomes one index into the word's memoised
-resolved table (_word_draws), which holds the code and state of the
-bucket's own word and of its alias.  RowSummary folds from those
-indices only the statistics the payoff reads, so no call builds a bit
-matrix or a rows x steps float array.  The memos hold at most 8
-resolved tables (288 KB each), 8 alias tables (64 KB) and 8 word tables
-(128 KB), 3.75 MB in all.
+Every estimator evaluates its paths with payoffs.join_paths, the
+engines' one join.  One prefix table per call, built from S0 by
+path_table, holds every stratum's mass (its weight) and its state after
+r steps, and the sampled suffix rows, folded for the statistic the
+payoff reads, extend that state to whole paths.  The basic estimator is
+the case r = 0, through payoff_batch.
+sample_rows is the one sampler.  It cuts a row into the words of
+paths.word_widths, of at most 12 steps, and draws each word with
+Walker's alias method from one 64-bit PCG64DXSM output: the top w bits
+pick a bucket of the word's alias table, and the low 64 - w bits are
+compared with the bucket's integer threshold, as one compare of the
+whole output with the bucket's key.  Each output becomes one index into
+the word's memoised resolved table (_word_draws), which holds the code
+and state of the bucket's own word and of its alias, and
+paths.fold_rows folds from those indices the one statistic asked for,
+so no call builds a bit matrix or a rows x steps float array.  The
+memos hold at most 8 resolved tables (288 KB each), 8 alias tables
+(64 KB) and 8 word tables (160 KB), 4 MB in all.
 The stratified estimators work in chunks of consecutive whole strata,
 about CHUNK sampled bits each (see _stratified).  The shared estimator
 joins all M prefix rows with its one sample through exact.join_rows,
@@ -72,15 +71,15 @@ from .paths import (
     BernoulliPath,
     PathPartition,
     PathTable,
-    RowSummary,
     _word_table,
     block_probabilities,
     block_probability,  # noqa: F401  the benchmark's tracer wraps mc.block_probability
     check_fits,
+    fold_rows,
     path_table,
     word_widths,
 )
-from .payoffs import PayoffKind, code_payoffs, join_payoff, payoff_batch
+from .payoffs import join_paths, payoff_batch, suffix_statistic
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,7 @@ def _alias_table(probs: tuple) -> tuple:
 
 @lru_cache(maxsize=8)
 def _word_draws(probs: tuple, u: float, d: float) -> tuple:
-    """(key, code, states): a raw value's entry in the words of len(probs) steps.
+    """(key, states): a raw value's entry in the words of len(probs) steps.
 
     A word of w steps resolves the value v of bucket i = v >> (64 - w)
     by v >= key[i], key[i] = (i << (64 - w)) + thr[i] in uint64, which is
@@ -206,25 +205,23 @@ def _word_draws(probs: tuple, u: float, d: float) -> tuple:
     key[i] wraps to 0 only in the last bucket and only where thr[i] is
     the whole 2^(64 - w); Vose's pairing left alias[i] = i there, so
     every value still draws word i.
-    Entries 2i and 2i + 1 are word i and word alias[i]: code maps an
-    entry to its word, and states holds the entry's last, total and low
-    from the word table of (u, d).  Memoised and read-only: 72 B a
-    bucket, 288 KB at 2^WORD_BITS buckets.
+    Entries 2i and 2i + 1 of states are word i and word alias[i]: their
+    codes, and their last, total and low from the word table of (u, d).
+    Memoised and read-only: 72 B a bucket, 288 KB at 2^WORD_BITS buckets.
     """
     w = len(probs)
     thr, alias = _alias_table(probs)
     key = (np.arange(1 << w, dtype=np.uint64) << np.uint64(64 - w)) + thr
     code = np.stack((np.arange(1 << w), alias), axis=1).ravel()
-    table = _word_table(w, u, d)
-    states = PathTable(None, table.last[code], table.total[code], table.low[code])
-    for a in (key, code, *states[1:]):
+    states = PathTable(None, *(a[code] for a in _word_table(w, u, d)[1:]))
+    for a in (key, *states[1:]):
         a.flags.writeable = False
-    return key, code, states
+    return key, states
 
 
 def sample_rows(rng: np.random.Generator, probs: np.ndarray, count: int,
-                u: float, d: float, first: int = 0) -> RowSummary:
-    """RowSummary of count rows of rng, after skipping first rows from where it stands.
+                u: float, d: float, statistic: str, first: int = 0) -> PathTable:
+    """count rows of rng folded for statistic, after skipping first rows from where it stands.
 
     Step t is up with probability probs[t].  Each word of word_widths
     costs one bit_generator.random_raw() value, so a row is `words`
@@ -234,21 +231,26 @@ def sample_rows(rng: np.random.Generator, probs: np.ndarray, count: int,
     from its alias table: the value's top w bits pick bucket i, and its
     low 64 - w bits below thr[i] keep i, else give alias[i].  Each value
     becomes one index, 2i or 2i + 1, into the word's _word_draws table,
-    so the summary folds only the statistics read from it.
+    and paths.fold_rows folds statistic from those indices.
     """
     widths = word_widths(probs.shape[0], u, d)
     rng.bit_generator.advance(first * len(widths))
     raw = rng.bit_generator.random_raw(count * len(widths)).reshape(count, len(widths))
     words = []
     for j, (w, end) in enumerate(zip(widths, accumulate(widths))):
-        key, code, states = _word_draws(tuple(probs[end - w:end].tolist()), u, d)
+        key, states = _word_draws(tuple(probs[end - w:end].tolist()), u, d)
         value = raw[:, j]
         index = (value >> (64 - w)).view(np.int64)
         moved = value >= key[index]
         index <<= 1
         index |= moved
-        words.append((w, index, code, states))
-    return RowSummary.of_words(count, u, d, words)
+        words.append((w, index, states))
+    # The raw block, its column view and the last compare mask die before
+    # the fold.  With any of them alive, glibc's heap settled into trimming
+    # and regrowing about 3 MB on every warm estimate_basic call (asian-put,
+    # N=32, R=2^16): some 750 minor page faults a call where there are none.
+    raw = value = moved = None
+    return fold_rows(count, u, d, words, statistic)
 
 
 def sample_path(params, rng: np.random.Generator) -> BernoulliPath:
@@ -271,22 +273,19 @@ def _prefix_table(req: ValuationRequest, M: int) -> PathTable:
 
 
 def _extend_draws(req: ValuationRequest, prefix: PathTable, lo: int, hi: int,
-                  draws: np.ndarray, suffix: RowSummary) -> np.ndarray:
+                  draws: np.ndarray, suffix: PathTable, steps: int) -> np.ndarray:
     """Payoffs of prefix lo + i extended by its own draws[i] suffix rows, in row order.
 
-    The prefix states are repeated once per draw and joined with the
-    suffix rows elementwise, as 1-D arrays; a single prefix's state
-    broadcasts over its draws as it is.  A callable sees the path codes.
+    The prefix's last price and the statistic the payoff reads are
+    repeated once per draw and joined with the suffix rows of `steps`
+    steps elementwise, as 1-D arrays; a single prefix's state broadcasts
+    over its draws as it is.
     """
-    if not isinstance(req.kind, PayoffKind):
-        s = req.inputs.N + 1 - prefix.last.shape[0].bit_length()
-        codes = (np.repeat(np.arange(lo, hi), draws) << s) | suffix.codes
-        return code_payoffs(req.kind, req.params, req.inputs.S0, req.inputs.K, codes)
-
     def per_draw(a):
         return a[lo:hi] if hi - lo == 1 else np.repeat(a[lo:hi], draws)
-    heads = PathTable(None, per_draw(prefix.last), per_draw(prefix.total), per_draw(prefix.low))
-    return join_payoff(req.kind, req.inputs.K, req.inputs.N, heads, suffix)
+    heads = PathTable(**{name: per_draw(getattr(prefix, name))
+                         for name in {"last", suffix_statistic(req.kind)}})
+    return join_paths(req.kind, req.params, req.inputs.S0, req.inputs.K, heads, suffix, steps)
 
 
 def _mean_sse(values: np.ndarray) -> tuple:
@@ -347,7 +346,8 @@ def estimate_basic(req: ValuationRequest, cfg: McConfig, rep: int = 0) -> Estima
     if cfg.R < 2:
         raise InvalidInput(f"basic estimator needs R >= 2, got {cfg.R}")
     params = req.params
-    rows = sample_rows(mc_stream(cfg.seed, 0, rep), params.up_probs, cfg.R, params.u, params.d)
+    rows = sample_rows(mc_stream(cfg.seed, 0, rep), params.up_probs, cfg.R, params.u, params.d,
+                       suffix_statistic(req.kind))
     values = payoff_batch(req.kind, params, req.inputs.S0, req.inputs.K, rows)
     theta, sse = _mean_sse(values)
     return _estimate(req, cfg, theta, sse / (cfg.R * cfg.R), cfg.R, "basic")
@@ -398,9 +398,9 @@ def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: in
     change no result.  Each thread run of chunks (exact._map_in_order)
     makes one generator of the stream and jumps it to its first chunk's
     first row; a run's chunks hold consecutive rows, so each later chunk
-    reads on with no jump.  A chunk draws and summarises all its strata's
+    reads on with no jump.  A chunk draws and folds all its strata's
     rows in one sample_rows call, joins them with the repeated prefix
-    states in one join_payoff call and reduces every stratum's mean and
+    states in one join_paths call and reduces every stratum's mean and
     squared-deviation sum in one segmented reduction.
     var_theta maps those sums to the variance of the combined estimate
     on the theta scale.
@@ -411,6 +411,7 @@ def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: in
     # A draw with no suffix steps (M = 2^N) still costs one path.
     first_bit = first_row * max(1, probs.shape[0])
     bounds = np.append(np.unique(first_bit // CHUNK, return_index=True)[1], cfg.M).tolist()
+    statistic = suffix_statistic(req.kind)
 
     def run(first: int, end: int) -> list:
         rng, out = mc_stream(cfg.seed, 0, rep), []
@@ -418,8 +419,8 @@ def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: in
         for c in range(first, end):
             lo, hi = bounds[c], bounds[c + 1]
             draws = alloc[lo:hi]
-            suffix = sample_rows(rng, probs, int(draws.sum()), params.u, params.d, skip)
-            values = _extend_draws(req, prefix, lo, hi, draws, suffix)
+            suffix = sample_rows(rng, probs, int(draws.sum()), params.u, params.d, statistic, skip)
+            values = _extend_draws(req, prefix, lo, hi, draws, suffix, probs.shape[0])
             out.append(_segment_mean_sse(values, draws))
             skip = 0
         return out
@@ -500,7 +501,8 @@ def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
     params = req.params
     prefix = _prefix_table(req, cfg.M)
     probs = params.up_probs[cfg.M.bit_length() - 1:]
-    suffix = sample_rows(mc_stream(cfg.seed, 0, rep), probs, cfg.R, params.u, params.d)
+    suffix = sample_rows(mc_stream(cfg.seed, 0, rep), probs, cfg.R, params.u, params.d,
+                         suffix_statistic(req.kind))
 
     def weigh(lo: int, hi: int, values: np.ndarray) -> tuple:
         means = values.mean(axis=1)

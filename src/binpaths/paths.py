@@ -13,20 +13,20 @@ below, the paper's mapping of ranks to blocks, describes each rank's
 share by those ranges, and the engines' prefix tables index rows by them.
 
 A word table (path_table) holds the state after every word of j steps.
-The exact engine joins prefix and suffix tables; RowSummary reads rows
+The exact engine joins prefix and suffix tables; fold_rows reads rows
 the same way, as words of at most WORD_BITS steps (word_widths) whose
-states come from memoised tables and fold left to right, each statistic
-on its first read.  Bit rows are cut into those words; the Monte Carlo
-sampler draws them.
+states come from memoised tables and fold left to right into the one
+statistic a payoff reads, a PathTable holding only it.  Bit rows are
+cut into those words (fold_bits); the Monte Carlo sampler draws them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -168,22 +168,20 @@ def block_probability(params: "TreeParams", partition: PathPartition, rank: int)
 
 
 class PathTable(NamedTuple):
-    """State after every j-step word, indexed by the word's code.
+    """State after every j-step word, or of every row, one entry each.
 
     weight is the word's probability.  last, total and low are the final
     price, the sum of the prices after each step, and their minimum
-    (+inf for the empty word), all scaled from the start price.
+    (+inf for the empty word), all scaled from the start price.  codes
+    are the words' codes: path_table lists its words in code order.  A
+    state holds only the fields its reader needs; the others are None.
     """
 
-    weight: np.ndarray
-    last: np.ndarray
-    total: np.ndarray
-    low: np.ndarray
-
-    @property
-    def codes(self) -> np.ndarray:
-        """Each entry's word code: a table lists its words in code order."""
-        return np.arange(self.last.shape[0])
+    weight: Optional[np.ndarray] = None
+    last: Optional[np.ndarray] = None
+    total: Optional[np.ndarray] = None
+    low: Optional[np.ndarray] = None
+    codes: Optional[np.ndarray] = None
 
     def rows(self, lo: int, hi: int) -> "PathTable":
         """The states of words lo..hi-1 as (rows, 1) column views.
@@ -212,10 +210,10 @@ def path_table(probs: np.ndarray, u: float, d: float, start: float) -> PathTable
         total = (total[:, None] + moved).ravel()
         low = np.minimum(low[:, None], moved).ravel()
         last = moved.ravel()
-    return PathTable(weight, last, total, low)
+    return PathTable(weight, last, total, low, np.arange(last.shape[0]))
 
 
-# Steps per word of RowSummary and the sampler: a word table has at most 2^12 entries.
+# Steps per word of fold_bits and the sampler: a word table has at most 2^12 entries.
 WORD_BITS = 12
 # Largest |log| of a price relative within one word, so that a word table
 # of up to WORD_BITS prices and their sum stays finite and normal.
@@ -227,7 +225,7 @@ def _word_table(width: int, u: float, d: float) -> PathTable:
     """path_table of every width-step word from price 1, read-only.
 
     Memoised: it depends on (width, u, d) alone, and at most 2^WORD_BITS
-    entries of 32 B make one table, 128 KB.
+    entries of 40 B make one table, 160 KB.
     """
     table = path_table(np.zeros(width), u, d, 1.0)
     for a in table:
@@ -249,83 +247,53 @@ def word_widths(n: int, u: float, d: float) -> list:
     return [n // words + (i < n % words) for i in range(words)]
 
 
-class RowSummary:
-    """PathTable's last, total and low of rows from price 1, and their codes.
+def fold_rows(rows: int, u: float, d: float, words: list, statistic: str) -> PathTable:
+    """The statistic of rows given word by word from price 1, in a PathTable holding only it.
 
-    A row is one index per word of word_widths into a table of word
-    states.  Given bits (step 1 first) become their codes, step 1 the
-    most significant bit as in codes_to_bits, and each word indexes the
-    memoised word table of its width by its code; sampled rows
-    (of_words) index a sampler's table.  Each statistic is folded on its
-    first read and kept, so a payoff pays only for what it reads, and no
-    rows x steps float array is built.  Reading is not locked: threads
-    that share a summary find its statistic read before they start
-    (exact.join_rows reads it).  Narrower words at large moves keep every
-    table entry finite and nonzero, so the fold makes no 0 * inf.  When
-    one word is the row (n <= WORD_BITS at ordinary moves), last is the
-    step-by-step product bit for bit.  Rows with no steps are the empty
-    word: last 1, total 0 and low +inf.
+    Each word, step 1 first, is (width, index, table): every row's index
+    into table, whose last, total, low and codes are its entries' states
+    (a word table, or a sampler's table of drawn words).  The codes sit
+    side by side, step 1 the most significant bit; the prices fold left
+    to right, last * last', total + last * total' and fmin(low, last *
+    low'), so no rows x steps float array is built.  Narrower words at
+    large moves keep every table entry finite and nonzero, so the fold
+    makes no 0 * inf.  When one word is the row (n <= WORD_BITS at
+    ordinary moves), last is the step-by-step product bit for bit.
+    Rows with no steps are the empty word: code 0, last 1, total 0 and
+    low +inf.
     """
+    (_, index, table), *rest = words or [(0, np.zeros(rows, dtype=np.int64), _word_table(0, u, d))]
+    stat = getattr(table, statistic)[index]
+    # total and low extend from the last price before each later word.
+    last = table.last[index] if statistic in ("total", "low") else None
+    for k, (width, index, table) in enumerate(rest, 1):
+        if statistic == "codes":
+            stat <<= width
+            stat |= table.codes[index]
+        elif statistic == "last":
+            stat *= table.last[index]
+        elif statistic == "total":
+            stat += last * table.total[index]
+        else:
+            np.fmin(stat, last * table.low[index], out=stat)
+        if last is not None and k < len(rest):
+            last *= table.last[index]
+    return PathTable(**{statistic: stat})
 
-    def __init__(self, bits: np.ndarray, u: float, d: float):
-        rows, n = bits.shape
-        self.codes = bits @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
-        widths = word_widths(n, u, d)
-        # The words index the word tables by their codes; codes is already set.
-        self._set_words(rows, u, d, [
-            (w, (self.codes >> (n - end)) & ((1 << w) - 1), None, _word_table(w, u, d))
-            for w, end in zip(widths, accumulate(widths))])
 
-    @classmethod
-    def of_words(cls, rows: int, u: float, d: float, words: list) -> "RowSummary":
-        """The summary of rows given word by word, step 1 first.
+def fold_bits(bits: np.ndarray, u: float, d: float, statistic: str) -> PathTable:
+    """fold_rows of (rows, n) bit rows, step 1 first.
 
-        Each word is (width, index, code, table): every row's index into
-        table's last, total and low, and code[index] is the word's code.
-        """
-        summary = cls.__new__(cls)
-        summary._set_words(rows, u, d, words)
-        return summary
-
-    def _set_words(self, rows: int, u: float, d: float, words: list) -> None:
-        # Rows of no steps hold the one empty word, whose code is 0.
-        self._words = words or [
-            (0, np.zeros(rows, dtype=np.int64), np.zeros(1, dtype=np.int64), _word_table(0, u, d))]
-
-    @cached_property
-    def codes(self) -> np.ndarray:
-        codes = np.zeros(self._words[0][1].shape[0], dtype=np.int64)
-        for width, index, code, _ in self._words:
-            codes <<= width
-            codes |= code[index]
-        return codes
-
-    @cached_property
-    def last(self) -> np.ndarray:
-        return self._fold("last")
-
-    @cached_property
-    def total(self) -> np.ndarray:
-        return self._fold("total")
-
-    @cached_property
-    def low(self) -> np.ndarray:
-        return self._fold("low")
-
-    def _fold(self, name: str) -> np.ndarray:
-        """Statistic name of every row, folded over its words from the running last price."""
-        (_, index, _, table), *rest = self._words
-        last = table.last[index]
-        stat = last if name == "last" else getattr(table, name)[index]
-        for k, (_, index, _, table) in enumerate(rest, 1):
-            if name == "total":
-                stat += last * table.total[index]
-            elif name == "low":
-                np.fmin(stat, last * table.low[index], out=stat)
-            # total and low read the last price before the final word only.
-            if name == "last" or k < len(rest):
-                last *= table.last[index]
-        return stat
+    A row's code (step 1 the most significant bit, as in codes_to_bits)
+    is cut into the words of word_widths, and each word indexes the
+    memoised word table of its width by its code.
+    """
+    rows, n = bits.shape
+    codes = bits @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+    widths = word_widths(n, u, d)
+    return fold_rows(rows, u, d, [
+        (w, (codes >> (n - end)) & ((1 << w) - 1), _word_table(w, u, d))
+        for w, end in zip(widths, accumulate(widths))], statistic)
 
 
 def codes_to_bits(codes: np.ndarray, n: int) -> np.ndarray:

@@ -3,8 +3,14 @@
 Every payoff sees the path prices S_1..S_N (never S_0) and the strike.
 The four built-in kinds are closed under the CLI tags below; a callable
 with the same signature as payoff() slots in anywhere a kind is
-accepted, the extension point for new path functionals.  code_payoffs
-is the one place a callable runs, on each path's code.
+accepted, the extension point for new path functionals.
+
+Every engine evaluates paths as a prefix state joined with a suffix
+state (paths.PathTable), and join_paths is the one place that tells
+the two apart: join_payoff, the path kernel, for a kind, and
+code_payoffs, the one place a callable runs, on each path's code.  A
+suffix needs only the statistic suffix_statistic names, the one record
+of what a payoff reads; rows folded for another raise InvalidInput.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 import numpy as np
 
 from .errors import InvalidInput, LengthMismatch
-from .paths import BernoulliPath, PathTable, RowSummary, path_table
+from .paths import BernoulliPath, PathTable, fold_bits, path_table
 
 if TYPE_CHECKING:
     from .model import TreeParams
@@ -54,7 +60,7 @@ def parse_payoff(name: str) -> PayoffKind:
 
 
 def suffix_statistic(kind: PayoffLike) -> str:
-    """The suffix attribute (PathTable or RowSummary) a payoff reads: codes for a callable."""
+    """The suffix field of PathTable a payoff reads: codes for a callable."""
     return _SUFFIX_STATISTIC[kind] if isinstance(kind, PayoffKind) else "codes"
 
 
@@ -63,8 +69,32 @@ def is_path_dependent(kind: PayoffLike) -> bool:
     return suffix_statistic(kind) != "last"
 
 
+def read_statistic(kind: PayoffLike, suffix: PathTable) -> np.ndarray:
+    """The suffix statistic a payoff reads, or InvalidInput when suffix was folded without it."""
+    stat = getattr(suffix, suffix_statistic(kind))
+    if stat is None:
+        raise InvalidInput(f"the suffix holds no {suffix_statistic(kind)}, which the payoff reads")
+    return stat
+
+
+def join_paths(kind: PayoffLike, params: "TreeParams", S0: float, K: float, prefix: PathTable,
+               suffix: PathTable, steps: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Payoffs of the paths that prefix states and suffix states of `steps` steps make.
+
+    The one place that tells built-in and callable payoffs apart.  A
+    kind joins the states (join_payoff, which broadcasts them and builds
+    into `out` when given).  A callable gets each path's code, the
+    prefix code shifted past the suffix code, (prefix.codes << steps) |
+    suffix.codes.
+    """
+    stat = read_statistic(kind, suffix)
+    if isinstance(kind, PayoffKind):
+        return join_payoff(kind, K, params.n_steps, prefix, suffix, out)
+    return code_payoffs(kind, params, S0, K, (prefix.codes << steps) | stat)
+
+
 def join_payoff(kind: PayoffKind, K: float, n: int, prefix: PathTable,
-                suffix: Union[PathTable, RowSummary], out: Optional[np.ndarray] = None) -> np.ndarray:
+                suffix: PathTable, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Built-in payoff of n-step paths made of a prefix and a suffix state.
 
     The path kernel of every engine and the one kind dispatch.  prefix
@@ -107,27 +137,23 @@ def payoff(kind: PayoffLike, params: "TreeParams", S0: float, K: float,
 
 
 def payoff_batch(kind: PayoffLike, params: "TreeParams", S0: float, K: float,
-                 bits: Union[np.ndarray, RowSummary]) -> np.ndarray:
+                 bits: Union[np.ndarray, PathTable]) -> np.ndarray:
     """Evaluate one payoff on a (batch, N) boolean bit matrix or on sampled rows.
 
-    Sampled rows come as their RowSummary (mc.sample_rows), N steps from
-    S0.  Built-in kinds join the start state (S0, sum 0, minimum +inf)
-    with the rows' summary.  Callable kinds get the rows' path codes.
+    Sampled rows come folded for the payoff's statistic (mc.sample_rows),
+    N steps from S0; a bit matrix is folded here (paths.fold_bits).
+    Either joins the start state (S0, sum 0, minimum +inf, code 0).
     """
-    if isinstance(bits, RowSummary):
-        summary = bits
-    else:
+    if not isinstance(bits, PathTable):
         bits = np.asarray(bits, dtype=bool)
         if bits.ndim != 2:
             raise InvalidInput(f"bit matrix must be 2-D, got shape {bits.shape}")
         if bits.shape[1] != params.n_steps:
             raise LengthMismatch(
                 f"bit rows have {bits.shape[1]} steps, tree has {params.n_steps}")
-        summary = RowSummary(bits, params.u, params.d)
-    if not isinstance(kind, PayoffKind):
-        return code_payoffs(kind, params, S0, K, summary.codes)
+        bits = fold_bits(bits, params.u, params.d, suffix_statistic(kind))
     start = path_table((), params.u, params.d, S0)
-    return join_payoff(kind, K, params.n_steps, start, summary)
+    return join_paths(kind, params, S0, K, start, bits, params.n_steps)
 
 
 def code_payoffs(kind: Callable, params: "TreeParams", S0: float, K: float,

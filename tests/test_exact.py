@@ -262,10 +262,12 @@ def test_tracing_hooks_resolve_and_callable_matches_builtin_twin(monkeypatch):
     # binpaths.mc, and expects one mc_stream and one payoff_batch call per
     # estimate_basic call.  Every estimator draws through sample_rows, and
     # sample_bits, which the tracer also wraps, is left to sample_path.
-    from binpaths import exact, mc
+    # payoffs.code_payoffs, not traced, is where every callable call runs.
+    from binpaths import exact, mc, payoffs
 
     calls = {}
-    for module, names in ((exact, ("codes_to_bits", "payoff_batch", "code_payoffs")),
+    for module, names in ((exact, ("codes_to_bits", "payoff_batch")),
+                          (payoffs, ("code_payoffs",)),
                           (mc, ("payoff_batch", "block_probability", "allocate_strata",
                                 "mc_stream", "sample_bits", "sample_rows"))):
         for name in names:
@@ -322,7 +324,7 @@ def test_tracing_hooks_resolve_and_callable_matches_builtin_twin(monkeypatch):
         assert got == pytest.approx(twin, rel=1e-12)
     # A callable runs through the one code evaluator: one batch of 1,024
     # one-path rows per call at N=10, whatever the worker count.
-    assert calls["binpaths.exact.code_payoffs"] == 3
+    assert calls["binpaths.payoffs.code_payoffs"] == 3
 
 
 @pytest.mark.parametrize("n", (10, 17))

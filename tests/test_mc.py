@@ -30,10 +30,10 @@ from binpaths import (
     value_exact_serial,
     with_custom_probs,
 )
-from binpaths.exact import CHUNK, _map_in_order, join_rows
+from binpaths.exact import CHUNK, join_rows
 from binpaths.mc import _alias_table, sample_bits, sample_rows
-from binpaths.paths import RowSummary, codes_to_bits, path_table, word_widths
-from binpaths.payoffs import join_payoff, payoff_batch
+from binpaths.paths import PathTable, codes_to_bits, fold_bits, path_table, word_widths
+from binpaths.payoffs import join_paths, join_payoff, payoff_batch
 
 from oracles import brute_payoff, brute_prices
 
@@ -101,8 +101,9 @@ def test_sample_rows_read_one_raw_value_per_word_through_alias_tables():
     u, d = DESK_PARAMS.u, DESK_PARAMS.d
     widths = word_widths(62, u, d)
     assert widths == [11, 11, 10, 10, 10, 10]
-    drawn = sample_rows(mc_stream(9, 2, 1), probs, 1000, u, d)
-    raw = mc_stream(9, 2, 1).bit_generator.random_raw(6000).reshape(1000, 6)
+    drawn = sample_rows(mc_stream(9, 2, 1), probs, 1000, u, d, "codes").codes
+    raw = mc_stream(9, 2, 1).bit_generator.random_raw(6001)
+    after, raw = raw[-1], raw[:-1].reshape(1000, 6)
     want = []
     for row in raw.tolist():
         code = end = 0
@@ -113,22 +114,28 @@ def test_sample_rows_read_one_raw_value_per_word_through_alias_tables():
             word = i if value & ((1 << (64 - w)) - 1) < int(thr[i]) else int(alias[i])
             code = (code << w) | word
         want.append(code)
-    assert drawn.codes.tolist() == want
+    assert drawn.tolist() == want
     # A new stream skips to any first row: rows first.. of the same sample.
     for first in (1, 2, 7, 993):
-        later = sample_rows(mc_stream(9, 2, 1), probs, 1000 - first, u, d, first)
-        assert np.array_equal(later.codes, drawn.codes[first:])
-    # The drawn rows' states are RowSummary's of their bits, bit for bit.
-    given = RowSummary(codes_to_bits(drawn.codes, 62), u, d)
+        later = sample_rows(mc_stream(9, 2, 1), probs, 1000 - first, u, d, "codes", first)
+        assert np.array_equal(later.codes, drawn[first:])
+    # Each statistic reads the same raw values, leaves the generator at the
+    # same place and holds that statistic alone: the fold of the drawn
+    # rows' bits, bit for bit.
+    bits = codes_to_bits(drawn, 62)
     for name in ("codes", "last", "total", "low"):
-        assert np.array_equal(getattr(drawn, name), getattr(given, name)), name
+        rng = mc_stream(9, 2, 1)
+        folded = sample_rows(rng, probs, 1000, u, d, name)
+        assert rng.bit_generator.random_raw() == after
+        assert [f for f in PathTable._fields if getattr(folded, f) is not None] == [name]
+        assert np.array_equal(getattr(folded, name), getattr(fold_bits(bits, u, d, name), name))
 
     # Rows of no steps read nothing and are the empty word.
-    rng = mc_stream(9, 2, 1)
-    empty = sample_rows(rng, probs[:0], 5, u, d)
-    assert rng.bit_generator.random_raw() == raw[0, 0]
-    assert (empty.codes == 0).all() and (empty.last == 1.0).all()
-    assert (empty.total == 0.0).all() and (empty.low == math.inf).all()
+    for name, empty in (("codes", 0), ("last", 1.0), ("total", 0.0), ("low", math.inf)):
+        rng = mc_stream(9, 2, 1)
+        folded = sample_rows(rng, probs[:0], 5, u, d, name)
+        assert rng.bit_generator.random_raw() == raw[0, 0]
+        assert getattr(folded, name).tolist() == [empty] * 5
 
 
 def test_sample_rows_read_on_from_one_generator_as_fresh_streams_jump_there():
@@ -146,8 +153,8 @@ def test_sample_rows_read_on_from_one_generator_as_fresh_streams_jump_there():
         for skip, count in zip(skips, counts):
             row += skip
             residues.add(row * words % 4)
-            got = sample_rows(rng, probs, count, u, d, skip).codes
-            want = sample_rows(mc_stream(11, 0, 2), probs, count, u, d, row).codes
+            got = sample_rows(rng, probs, count, u, d, "codes", skip).codes
+            want = sample_rows(mc_stream(11, 0, 2), probs, count, u, d, "codes", row).codes
             assert np.array_equal(got, want)
             row += count
         if words == 1:
@@ -194,7 +201,7 @@ def test_sample_rows_keep_the_alias_rule_where_the_top_key_wraps(probs, wraps):
     assert (int(thr[-1]) == 1 << (64 - w)) is wraps
     u, d = DESK_PARAMS.u, DESK_PARAMS.d
     assert word_widths(w, u, d) == [w]
-    drawn = sample_rows(mc_stream(6), np.array(probs), 1 << 16, u, d)
+    drawn = sample_rows(mc_stream(6), np.array(probs), 1 << 16, u, d, "codes")
     raw = mc_stream(6).bit_generator.random_raw(1 << 16).tolist()
     assert any(value >> (64 - w) == (1 << w) - 1 for value in raw)
     want = []
@@ -230,7 +237,7 @@ def test_word_code_counts_match_the_word_weights(case):
     rng = mc_stream(5, 0, 0)
     for _ in range(blocks):
         with np.errstate(over="ignore", under="ignore"):  # e^103 moves leave double range
-            codes = sample_rows(rng, probs, rows // blocks, u, d).codes
+            codes = sample_rows(rng, probs, rows // blocks, u, d, "codes").codes
         for w, count in zip(reversed(widths), reversed(counts)):
             count += np.bincount(codes & ((1 << w) - 1), minlength=1 << w)
             codes = codes >> w
@@ -515,7 +522,7 @@ def _code_parity(params, S0, K, path):
 
 
 @pytest.mark.parametrize("estimator", STRATIFIED)
-def test_eval_threads_do_not_change_results(estimator):
+def test_eval_threads_do_not_change_results(estimator, monkeypatch):
     # 8192 draws of 9 sampled steps fill 3 chunks of strata (8 at equal
     # allocation), and the shared sample joins 8 prefixes in 2 batches.
     cfg = McConfig(R=8192, M=8, seed=13)
@@ -524,6 +531,12 @@ def test_eval_threads_do_not_change_results(estimator):
         for threads in (1, 2, 4):
             threaded = estimator(_desk_req(kind), cfg, eval_threads=threads)
             assert threaded == lone
+        # With 8 usable cores, 3 to 6 threads make as many runs as there
+        # are chunks or batches, up to 6.
+        with monkeypatch.context() as patch:
+            patch.setattr("binpaths.exact.usable_cores", lambda: 8)
+            for threads in (3, 5, 6):
+                assert estimator(_desk_req(kind), cfg, eval_threads=threads) == lone
 
 
 @pytest.mark.parametrize("kind, folded", [
@@ -532,38 +545,47 @@ def test_eval_threads_do_not_change_results(estimator):
     (_code_parity, "codes"),
 ], ids=["euro-call", "euro-put", "asian-put", "lookback-put", "callable"])
 def test_a_payoff_folds_only_the_statistic_it_reads(kind, folded, monkeypatch):
-    # Sampled rows keep one index per word; a statistic is folded when first
-    # read, so an asian-put leaves low and codes unfolded.
+    # Sampled rows are folded for one statistic and hold it alone.
     inputs = replace(DESK, N=32)
     params = derive_crr(inputs)
-    rows = sample_rows(mc_stream(4), params.up_probs, 256, params.u, params.d)
-    assert set(vars(rows)) == {"_words"}
-    payoff_batch(kind, params, inputs.S0, inputs.K, rows)
-    assert set(vars(rows)) == {"_words", folded}
+    req = ValuationRequest(inputs=inputs, params=params, kind=kind)
 
-    # estimate_shared shares one summary between join_rows' threads, which
-    # only read: the payoff's statistic is folded when _map_in_order starts
-    # them, and it is still the only one folded when join_rows returns.
-    shared, seen = [], []
+    def held(rows):
+        return [name for name in PathTable._fields if getattr(rows, name) is not None]
+
+    rows = sample_rows(mc_stream(4), params.up_probs, 256, params.u, params.d, folded)
+    assert held(rows) == [folded]
+    assert payoff_batch(kind, params, inputs.S0, inputs.K, rows).shape == (256,)
+
+    # Rows folded for another statistic are refused by every entry that
+    # joins them, before a payoff is formed.
+    start = path_table((), params.u, params.d, inputs.S0)
+    heads = path_table(params.up_probs[:3], params.u, params.d, inputs.S0)
+    for other in {"codes", "last", "total", "low"} - {folded}:
+        wrong = sample_rows(mc_stream(4), params.up_probs, 256, params.u, params.d, other)
+        with pytest.raises(InvalidInput):
+            payoff_batch(kind, params, inputs.S0, inputs.K, wrong)
+        with pytest.raises(InvalidInput):
+            join_paths(kind, params, inputs.S0, inputs.K, start, wrong, 32)
+        tails = sample_rows(mc_stream(4), params.up_probs[3:], 256, params.u, params.d, other)
+        with pytest.raises(InvalidInput):
+            join_rows(req, heads, tails, lambda lo, hi, values: values, 2)
+
+    # estimate_shared folds its one sample for the payoff, once, and hands
+    # it to join_rows' threads.
+    seen = []
 
     def spy_join(req, prefix, suffix, reduce, threads):
-        shared.append(suffix)
-        batches = join_rows(req, prefix, suffix, reduce, threads)
-        seen.append(set(vars(suffix)) - {"_words"})
-        return batches
-
-    def spy_map(fn, count, threads):
-        seen.append(set(vars(shared[-1])) - {"_words"})
-        return _map_in_order(fn, count, threads)
+        seen.append(held(suffix))
+        return join_rows(req, prefix, suffix, reduce, threads)
 
     monkeypatch.setattr("binpaths.mc.join_rows", spy_join)
-    monkeypatch.setattr("binpaths.exact._map_in_order", spy_map)
-    req = ValuationRequest(inputs=inputs, params=params, kind=kind)
     estimate_shared(req, McConfig(R=256, M=8, seed=4), eval_threads=2)
-    assert seen == [{folded}, {folded}]
+    assert seen == [[folded]]
 
 
-def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_count():
+def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_count(
+        monkeypatch):
     # M=1024 at N=16 leaves 6 sampled steps per draw, so R=32768 fills six
     # chunks.  p = 1 on step 2 and p = 0 on step 7 take the mass from three
     # strata in four, in runs of 8 that fall inside chunks.
@@ -584,18 +606,26 @@ def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_c
     for threads in (2, 3, 4):
         assert estimate_partitioned_equal(req, McConfig(R=32, M=1024, seed=21),
                                           eval_threads=threads) == equal
+    # With 8 usable cores, 3 to 6 threads split the six chunks into as
+    # many runs, uneven ones included.
+    with monkeypatch.context() as patch:
+        patch.setattr("binpaths.exact.usable_cores", lambda: 8)
+        for threads in (3, 4, 5, 6):
+            assert estimate_partitioned(req, cfg, eval_threads=threads) == est
+            assert estimate_partitioned_equal(req, McConfig(R=32, M=1024, seed=21),
+                                              eval_threads=threads) == equal
 
     # Stratum m's rows are rows [sum(draws[:m]), sum(draws[:m + 1])) of one
     # sample of the repetition's stream.  Stratum at a time, each mean and
-    # SSE is the chunked one, bit for bit, from the summary of the rows' bits.
-    drawn = sample_rows(mc_stream(21, 0, 0), probs[10:], 32768, params.u, params.d)
+    # SSE is the chunked one, bit for bit, from the fold of the rows' bits.
+    drawn = sample_rows(mc_stream(21, 0, 0), probs[10:], 32768, params.u, params.d, "codes")
     sample = codes_to_bits(drawn.codes, 6)
     first = np.cumsum(draws) - draws
     heads = path_table(probs[:10], params.u, params.d, 20.0)
     sses = np.zeros(1024)
     for m in range(1024):
         if draws[m]:
-            suffix = RowSummary(sample[first[m]:first[m] + draws[m]], params.u, params.d)
+            suffix = fold_bits(sample[first[m]:first[m] + draws[m]], params.u, params.d, "total")
             values = join_payoff(PayoffKind.ASIAN_PUT, 100.0, 16, heads.rows(m, m + 1), suffix)[0]
             assert est.per_stratum[m][2] == float(values.mean())
             sses[m] = np.sum((values - values.mean()) ** 2)
@@ -621,7 +651,7 @@ def test_shared_chunks_match_brute_force_per_draw():
     est = estimate_shared(req, cfg)
     assert estimate_shared(req, cfg, eval_threads=2) == est
 
-    drawn = sample_rows(mc_stream(4), params.up_probs[5:], 2048, params.u, params.d)
+    drawn = sample_rows(mc_stream(4), params.up_probs[5:], 2048, params.u, params.d, "codes")
     suffixes = codes_to_bits(drawn.codes, 3).astype(int).tolist()
     part = make_partition(8, 32)
     inner = np.zeros(2048)

@@ -206,7 +206,7 @@ def test_codes_to_bits_matches_scalar_decoding():
 
 @pytest.mark.parametrize("dtype", (np.int64, np.uint64))
 def test_codes_to_bits_reads_signed_and_unsigned_codes(dtype):
-    # int64 is the dtype of RowSummary.codes and of every code the engines build.
+    # int64 is the dtype of folded codes (fold_rows) and of every code the engines build.
     codes = np.array([5, 0, (1 << 62) - 1], dtype=dtype)
     bits = codes_to_bits(codes, 62)
     assert bits.shape == (3, 62) and bits.dtype == bool

@@ -16,7 +16,7 @@ of 2^6 paths.  A partition finer than the row grid (N > 10 with
 M > 1024, or a round-robin M > 64) gives the same bits too: each row
 goes whole to the block where it starts.
 
-RowSummary is checked against the oracle's step-by-step prices on bit
+fold_bits is checked against the oracle's step-by-step prices on bit
 rows of 0 to 62 steps over CRR trees up to sigma = 80, where a word of
 steps can leave double precision and the words shrink.
 
@@ -29,13 +29,16 @@ over consecutive slices of one sample of the repetition's stream, bit
 for bit, on trees of 1 to 14 steps, every power-of-two M up to 2^N
 (M = 2^N samples no steps), per-step probabilities with 0 and 1 entries
 (strata without mass draw nothing) and thread runs that jump the stream
-to their first row, and against themselves on 1, 2, 3 and 4 threads.
+to their first row, and against themselves on 1, 2, 3 and 4 threads,
+and on 3 to 6 threads with eight usable cores assumed, so that uneven
+thread runs also run on hosts with fewer cores.
 At M = 1 they are the basic estimator, bit for bit.
 """
 
 import math
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -66,8 +69,8 @@ from binpaths import (
 )
 
 from binpaths.mc import _allocate, mc_stream, sample_rows
-from binpaths.paths import WORD_REACH, RowSummary, codes_to_bits, path_table
-from binpaths.payoffs import join_payoff
+from binpaths.paths import WORD_REACH, PathTable, codes_to_bits, fold_bits, path_table
+from binpaths.payoffs import join_payoff, suffix_statistic
 
 from oracles import brute_allocate, brute_payoff, brute_prices, brute_value
 
@@ -229,10 +232,10 @@ def test_row_summary_matches_step_by_step_prices(case):
     bits, u, d, S0 = case
     n = bits.shape[1]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        summary = RowSummary(bits, u, d)
-        stats = summary.last, summary.total, summary.low
+        stats = tuple(getattr(fold_bits(bits, u, d, name), name)
+                      for name in ("last", "total", "low"))
         start = path_table((), u, d, S0)
-        payoffs = {kind.value: join_payoff(kind, 1.0, n, start, summary)
+        payoffs = {kind.value: join_payoff(kind, 1.0, n, start, PathTable(None, *stats))
                    for kind in PayoffKind if n}
     for i, row in enumerate(bits.tolist()):
         prices = brute_prices(1.0, u, d, row)
@@ -376,12 +379,13 @@ def _stratum_at_a_time(req, M, alloc, seed, rep):
     r = M.bit_length() - 1
     heads = path_table(params.up_probs[:r], params.u, params.d, req.inputs.S0)
     drawn = sample_rows(mc_stream(seed, 0, rep), params.up_probs[r:], sum(alloc),
-                        params.u, params.d)
+                        params.u, params.d, "codes")
     sample = codes_to_bits(drawn.codes, n - r)
     thetas, sses, row = np.zeros(M), np.zeros(M), 0
     for m, count in enumerate(alloc):
         if count:
-            suffix = RowSummary(sample[row:row + count], params.u, params.d)
+            suffix = fold_bits(sample[row:row + count], params.u, params.d,
+                               suffix_statistic(req.kind))
             values = join_payoff(req.kind, req.inputs.K, n, heads.rows(m, m + 1), suffix)[0]
             thetas[m] = float(values.mean())
             sses[m] = float(np.sum((values - thetas[m]) ** 2))
@@ -423,6 +427,10 @@ def test_stratified_estimators_read_one_stream_stratum_after_stratum(case):
         assert est.variance == disc * disc * var_theta
         for threads in (2, 3, 4):
             assert estimator(req, cfg, rep=rep, eval_threads=threads) == est
+        # With 8 usable cores, 3 to 6 threads make as many uneven runs.
+        with mock.patch("binpaths.exact.usable_cores", lambda: 8):
+            for threads in (3, 4, 5, 6):
+                assert estimator(req, cfg, rep=rep, eval_threads=threads) == est
     if M == 1:
         basic = estimate_basic(req, McConfig(R=R, seed=seed), rep=rep)
         for estimator in (estimate_partitioned, estimate_partitioned_equal, estimate_shared):
