@@ -24,7 +24,8 @@ same weights.
 
 A prefix row, one prefix and all of its suffixes, is the one unit of
 reduction.  join_rows, the batched join that the shared-sample Monte
-Carlo estimator uses too, returns one partial per row.  Either route
+Carlo estimator uses too (for callables and M = 1), returns one partial
+per row.  Either route
 sums its terms once with math.fsum, which is exactly rounded and so
 independent of their order, and discounts once.
 

@@ -27,15 +27,31 @@ and state of the bucket's own word and of its alias, and
 paths.fold_rows folds from those indices the one statistic asked for,
 so no call builds a bit matrix or a rows x steps float array.  The
 memos hold at most 8 resolved tables (288 KB each), 8 alias tables
-(64 KB) and 8 word tables (160 KB), 4 MB in all.
-The stratified estimators work in chunks of consecutive whole strata,
-about CHUNK sampled bits each (see _stratified).  The shared estimator
-joins all M prefix rows with its one sample through exact.join_rows,
-the exact engine's batched join, max(1, CHUNK // R) rows a batch.
+(64 KB) and 8 word tables (160 KB), 4 MB in all.  The 4 MB block that
+importing the module maps and frees (see the note by CHUNK_ROWS) holds
+no memory after import.
+The stratified estimators work in chunks of consecutive whole strata:
+a stratum opens a new chunk when its first row passes a multiple of
+CHUNK_ROWS (2^13), so each of a chunk's float64 arrays holds about
+64 KiB.  A chunk costs one sample_rows call, one join and one
+reduction.  When its strata all draw the same count (every chunk of
+the equal allocation), it is evaluated as one (strata, draws) block:
+the prefix states broadcast as a column and each row reduces along its
+axis, with no repeated prefix states and no padded copy.
+The shared estimator sums a built-in payoff by prefix levels: the r
+prefix steps end on r + 1 levels, and the prefixes of one level share
+their last price.  Each level is sorted by the statistic its payoff
+reads, with running sums of weight and weight * statistic
+(paths.sorted_table), so a draw costs one binary search per level and
+the per-stratum means one search per prefix, not M joined payoffs.
+A callable, and M = 1, join all M prefix rows with the one sample
+through exact.join_rows, the exact engine's batched join,
+max(1, exact.CHUNK // R) rows a batch.
 eval_threads follows the exact engine's thread rule (exact._map_in_order):
 one contiguous run of whole chunks or batches per thread, at most one
 thread per usable core.  Chunk and batch bounds depend on the allocation
-(or M and R) and N alone, so no thread count changes a result.
+(or M and R) and N alone, so no thread count changes a result.  The
+level sums run inline.
 
 Each repetition draws from one PCG64DXSM stream keyed by (master seed,
 repetition index), mc_stream(seed, 0, rep).  A row is one raw uint64 of
@@ -66,7 +82,7 @@ import numpy as np
 
 from .errors import (InfeasibleAllocation, InvalidInput, InvalidWorkerCount, check_count,
                      quiet_non_finite)
-from .exact import CHUNK, ValuationRequest, _finite, _map_in_order, join_rows
+from .exact import ValuationRequest, _finite, _map_in_order, join_rows
 from .paths import (
     BernoulliPath,
     PathPartition,
@@ -76,10 +92,26 @@ from .paths import (
     block_probability,  # noqa: F401  the benchmark's tracer wraps mc.block_probability
     check_fits,
     fold_rows,
+    level_groups,
     path_table,
+    sorted_table,
     word_widths,
 )
-from .payoffs import join_paths, payoff_batch, suffix_statistic
+from .payoffs import (PayoffKind, join_paths, join_payoff, payoff_batch, read_statistic,
+                      suffix_statistic)
+
+# Rows of whole strata in a stratified chunk: 2^13 rows keep each of its
+# float64 arrays near 64 KiB.
+CHUNK_ROWS = 1 << 13
+
+# glibc maps an allocation above its mmap threshold on its own; freeing such
+# a mapping raises the threshold to its size and the heap-top trim threshold
+# to twice that.  One 4 MB block, mapped and freed here (np.empty touches
+# none of it), puts both above the transient arrays of a warm
+# estimate_basic call (about 3.5 MB at N=32, R=2^16).  Without it, whether
+# every such call trimmed and faulted back some 750 pages depended on where
+# one persistent heap chunk happened to land, which any edit could move.
+np.empty(1 << 19)
 
 
 @dataclass(frozen=True)
@@ -234,6 +266,11 @@ def sample_rows(rng: np.random.Generator, probs: np.ndarray, count: int,
     and paths.fold_rows folds statistic from those indices.
     """
     widths = word_widths(probs.shape[0], u, d)
+    # The per-word _word_draws lookups stay in the word loop below.  Hoisted
+    # into one memoised per-call plan, without the 4 MB block at the top of
+    # this module, they moved the heap chunk that kept glibc from trimming
+    # the call's arrays: warm estimate_basic (N=32, R=2^16) went from 0 to
+    # 768 minor faults a call in a perfbench-style loop.
     rng.bit_generator.advance(first * len(widths))
     raw = rng.bit_generator.random_raw(count * len(widths)).reshape(count, len(widths))
     words = []
@@ -272,26 +309,23 @@ def _prefix_table(req: ValuationRequest, M: int) -> PathTable:
     return path_table(params.up_probs[:r], params.u, params.d, req.inputs.S0)
 
 
-def _extend_draws(req: ValuationRequest, prefix: PathTable, lo: int, hi: int,
-                  draws: np.ndarray, suffix: PathTable, steps: int) -> np.ndarray:
-    """Payoffs of prefix lo + i extended by its own draws[i] suffix rows, in row order.
-
-    The prefix's last price and the statistic the payoff reads are
-    repeated once per draw and joined with the suffix rows of `steps`
-    steps elementwise, as 1-D arrays; a single prefix's state broadcasts
-    over its draws as it is.
-    """
-    def per_draw(a):
-        return a[lo:hi] if hi - lo == 1 else np.repeat(a[lo:hi], draws)
-    heads = PathTable(**{name: per_draw(getattr(prefix, name))
-                         for name in {"last", suffix_statistic(req.kind)}})
-    return join_paths(req.kind, req.params, req.inputs.S0, req.inputs.K, heads, suffix, steps)
-
-
 def _mean_sse(values: np.ndarray) -> tuple:
     """Mean of payoff draws and the sum of their squared deviations."""
     theta = float(values.mean())
     return theta, float(np.sum((values - theta) ** 2))
+
+
+def _block_mean_sse(values: np.ndarray) -> tuple:
+    """_mean_sse of each row of a (strata, draws) block, as two arrays; values is overwritten.
+
+    np.add.reduce along a row adds it up exactly as values[i].sum()
+    does, so every mean and SSE is _mean_sse's, bit for bit.
+    """
+    theta = np.add.reduce(values, axis=1)
+    theta /= values.shape[1]
+    values -= theta[:, None]
+    values *= values
+    return theta, np.add.reduce(values, axis=1)
 
 
 def _segment_mean_sse(values: np.ndarray, counts: np.ndarray) -> tuple:
@@ -302,11 +336,7 @@ def _segment_mean_sse(values: np.ndarray, counts: np.ndarray) -> tuple:
     its first element and adds the rest pairwise; starting from that
     zero, each run adds up exactly as values[a:b].sum() does, so every
     mean and SSE is _mean_sse's, bit for bit.  An empty run gives 0, 0.
-    A single run (a stratum of CHUNK bits or more) skips the copy.
     """
-    if counts.shape[0] == 1 and counts[0]:
-        theta, sse = _mean_sse(values)
-        return np.array([theta]), np.array([sse])
     lead = np.cumsum(counts + 1) - (counts + 1)
     padded = np.zeros(values.shape[0] + counts.shape[0])
     body = np.ones(padded.shape[0], dtype=bool)
@@ -392,40 +422,54 @@ def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: in
 
     Stratum m's rows are the alloc[m] rows after the sum(alloc[:m]) rows
     of the strata before it in that one stream.  Strata are evaluated in
-    chunks of consecutive whole strata holding about CHUNK sampled bits;
-    a stratum opens a new chunk when its first bit passes a multiple of
-    CHUNK, so the chunks depend on the allocation and N alone and threads
-    change no result.  Each thread run of chunks (exact._map_in_order)
-    makes one generator of the stream and jumps it to its first chunk's
-    first row; a run's chunks hold consecutive rows, so each later chunk
-    reads on with no jump.  A chunk draws and folds all its strata's
-    rows in one sample_rows call, joins them with the repeated prefix
-    states in one join_paths call and reduces every stratum's mean and
-    squared-deviation sum in one segmented reduction.
-    var_theta maps those sums to the variance of the combined estimate
-    on the theta scale.
+    chunks of consecutive whole strata: a stratum opens a new chunk when
+    its first row passes a multiple of CHUNK_ROWS, so the chunks depend
+    on the allocation alone and threads change no result.  Each thread
+    run of chunks (exact._map_in_order) makes one generator of the stream
+    and jumps it to its first chunk's first row; a run's chunks hold
+    consecutive rows, so each later chunk reads on with no jump.
+    A chunk costs one sample_rows call, one join_paths call and one
+    reduction.  When its strata all draw the same count, it is one
+    (strata, draws) block: the prefix states broadcast as columns and
+    each row reduces along its axis (_block_mean_sse).  Otherwise they
+    are repeated once per draw and _segment_mean_sse reduces the runs.
+    A built-in payoff is joined in place into the folded statistic.
+    var_theta maps the squared-deviation sums to the variance of the
+    combined estimate on the theta scale.
     """
-    params = req.params
+    params, S0, K = req.params, req.inputs.S0, req.inputs.K
     probs = params.up_probs[cfg.M.bit_length() - 1:]
-    first_row = np.cumsum(alloc) - alloc
-    # A draw with no suffix steps (M = 2^N) still costs one path.
-    first_bit = first_row * max(1, probs.shape[0])
-    bounds = np.append(np.unique(first_bit // CHUNK, return_index=True)[1], cfg.M).tolist()
     statistic = suffix_statistic(req.kind)
+    # The prefix fields the join reads: a callable reads the codes alone.
+    heads = [(name, getattr(prefix, name))
+             for name in (("codes",) if statistic == "codes" else {"last", statistic})]
+    first_row = np.cumsum(alloc) - alloc
+    starts = np.unique(first_row // CHUNK_ROWS, return_index=True)[1]
+    least = np.minimum.reduceat(alloc, starts)
+    # Each chunk's strata lo..hi - 1, its rows, and its strata's common draw count or 0.
+    chunks = list(zip(starts.tolist(), [*starts[1:].tolist(), cfg.M],
+                      np.add.reduceat(alloc, starts).tolist(),
+                      np.where(least == np.maximum.reduceat(alloc, starts), least, 0).tolist()))
 
     def run(first: int, end: int) -> list:
         rng, out = mc_stream(cfg.seed, 0, rep), []
-        skip = int(first_row[bounds[first]])
-        for c in range(first, end):
-            lo, hi = bounds[c], bounds[c + 1]
-            draws = alloc[lo:hi]
-            suffix = sample_rows(rng, probs, int(draws.sum()), params.u, params.d, statistic, skip)
-            values = _extend_draws(req, prefix, lo, hi, draws, suffix, probs.shape[0])
-            out.append(_segment_mean_sse(values, draws))
+        skip = int(first_row[chunks[first][0]])
+        for lo, hi, rows, width in chunks[first:end]:
+            stat = getattr(sample_rows(rng, probs, rows, params.u, params.d, statistic, skip),
+                           statistic)
             skip = 0
+            if width:
+                stat = stat.reshape(hi - lo, width)
+                head = PathTable(**{name: a[lo:hi, None] for name, a in heads})
+            else:
+                head = PathTable(**{name: np.repeat(a[lo:hi], alloc[lo:hi]) for name, a in heads})
+            values = join_paths(req.kind, params, S0, K, head, PathTable(**{statistic: stat}),
+                                probs.shape[0], stat)
+            out.append(_block_mean_sse(values) if width
+                       else _segment_mean_sse(values, alloc[lo:hi]))
         return out
 
-    per = _map_in_order(run, len(bounds) - 1, eval_threads)
+    per = _map_in_order(run, len(chunks), eval_threads)
     thetas = np.concatenate([t for t, _ in per])
     sses = np.concatenate([s for _, s in per])
     return _estimate(
@@ -491,10 +535,11 @@ def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
 
     Draw i contributes the inner sum over all M prefixes weighted by
     stratum probability, so the R inner sums are i.i.d. and their
-    sample variance estimates the estimator variance directly.  The
-    prefixes are joined with the sample in batches of rows (join_rows)
-    that depend on M and R alone and are summed in order, so threads
-    change no result.
+    sample variance estimates the estimator variance directly.  A
+    built-in payoff with M > 1 sums by prefix levels (_level_sums),
+    inline.  A callable, and M = 1, join the prefixes with the sample in
+    batches of rows (join_rows) that depend on M and R alone and are
+    summed in order, so threads change no result.
     """
     if cfg.R < 2:
         raise InvalidInput(f"shared estimator needs R >= 2, got {cfg.R}")
@@ -503,19 +548,84 @@ def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
     probs = params.up_probs[cfg.M.bit_length() - 1:]
     suffix = sample_rows(mc_stream(cfg.seed, 0, rep), probs, cfg.R, params.u, params.d,
                          suffix_statistic(req.kind))
+    if cfg.M > 1 and isinstance(req.kind, PayoffKind):
+        inner, means = _level_sums(req, prefix, suffix)
+    else:
+        def weigh(lo: int, hi: int, values: np.ndarray) -> tuple:
+            means = values.mean(axis=1)
+            np.multiply(values, prefix.weight[lo:hi, None], out=values)
+            return np.sum(values, axis=0), means
 
-    def weigh(lo: int, hi: int, values: np.ndarray) -> tuple:
-        means = values.mean(axis=1)
-        np.multiply(values, prefix.weight[lo:hi, None], out=values)
-        return np.sum(values, axis=0), means
-
-    batches = join_rows(req, prefix, suffix, weigh, eval_threads)
-    theta, sse = _mean_sse(reduce(np.add, (inner for inner, _ in batches)))
-    means = np.concatenate([m for _, m in batches])
+        batches = join_rows(req, prefix, suffix, weigh, eval_threads)
+        inner = reduce(np.add, (inner for inner, _ in batches))
+        means = np.concatenate([m for _, m in batches])
+    theta, sse = _mean_sse(inner)
     return _estimate(
         req, cfg, theta, sse / (cfg.R * cfg.R), cfg.R, "shared",
         tuple((m, cfg.R, float(means[m])) for m in range(cfg.M)),
     )
+
+
+@np.errstate(divide="ignore")
+def _level_sums(req: ValuationRequest, prefix: PathTable, suffix: PathTable) -> tuple:
+    """The R inner sums and the M per-stratum means of estimate_shared, by prefix levels.
+
+    The prefixes of one level (paths.level_groups) share their last
+    price e, so a euro payoff is one row of R payoffs per level.  For
+    asian-put and lookback-put, prefix m's payoff with draw j is K minus
+    a price that takes the prefix's statistic on one side of a kink and
+    the draw's on the other.  Each level's prefixes sorted by their
+    statistic (paths.sorted_table) sum every draw's side of the kink
+    with one binary search: asian-put pays when the prefix price sum
+    T_m < N*K - e*total_j, and lookback-put reads the prefix minimum
+    low_m when it is below e*low_j.  The per-stratum means are the same
+    sums transposed: the draws sorted once by their statistic, one
+    search per prefix.  A draw costs r + 1 searches, not M payoffs.
+    The inner sums come in the order of the draws' statistic, which
+    keeps each level's searches in ascending order.
+    """
+    kind, K, n = req.kind, req.inputs.K, req.inputs.N
+    draws = sorted_table(read_statistic(kind, suffix))
+    stat, R = draws.key, draws.key.shape[0]
+    e_all, statistic = prefix.last, suffix_statistic(kind)
+    inner, means = np.zeros(R), np.empty(e_all.shape[0])
+    if statistic == "total":
+        # Descending totals give ascending bounds.
+        stat = stat[::-1]
+    for rows in level_groups(e_all.shape[0].bit_length() - 1):
+        e, w = e_all[rows[0]], prefix.weight[rows]
+        if statistic == "last":
+            values = join_payoff(kind, K, n, PathTable(last=e), PathTable(last=stat))
+            inner += np.sum(w) * values
+            means[rows] = values.mean()
+        elif statistic == "total":
+            # w * (N*K - T - e*total_j) summed over T < N*K - e*total_j: N times
+            # the payoffs.  A bound below 0 counts no T, and 0 keeps it finite.
+            total, bound = prefix.total[rows], np.maximum(n * K - e * stat, 0.0)
+            paid, moment = sorted_table(total, w, total).below(bound)
+            inner += bound * paid - moment
+        else:
+            low = prefix.low[rows]
+            group = sorted_table(low, w, np.maximum(K - low, 0.0))
+            floor = e * stat
+            below, moment = group.below(floor)
+            # fmax: an empty suffix's low is +inf, and a prefix price that
+            # underflowed to 0 makes floor NaN, where the prefix minimum holds.
+            inner += moment + (group.weight[-1] - below) * np.fmax(K - floor, 0.0)
+    # A draw count of 0 adds 0, where e may be inf.  fmax sends a bound
+    # that is NaN (inf / inf or 0 / 0) to 0, which counts no draws.
+    if statistic == "total":
+        inner /= n
+        total = prefix.total
+        count, sums = draws.below(np.fmax((n * K - total) / e_all, 0.0))
+        means = np.where(count > 0, (K - total / n) * count - e_all / n * sums, 0.0) / R
+    elif statistic == "low":
+        low = prefix.low
+        count, sums = draws.below(np.fmax(np.fmin(low, K) / e_all, 0.0))
+        above = R - draws.below(np.fmax(low / e_all, 0.0))[0]
+        means = (np.where(count > 0, K * count - e_all * sums, 0.0)
+                 + above * np.maximum(K - low, 0.0)) / R
+    return inner, means
 
 
 def run_repetitions(estimator: Callable, req: ValuationRequest, cfg: McConfig,

@@ -18,6 +18,9 @@ the same way, as words of at most WORD_BITS steps (word_widths) whose
 states come from memoised tables and fold left to right into the one
 statistic a payoff reads, a PathTable holding only it.  Bit rows are
 cut into those words (fold_bits); the Monte Carlo sampler draws them.
+level_groups splits a table's words by their end level, and
+sorted_table sorts entries by one statistic with running sums, so a
+sum over the entries on one side of a payoff's kink is one search.
 """
 
 from __future__ import annotations
@@ -265,7 +268,7 @@ def fold_rows(rows: int, u: float, d: float, words: list, statistic: str) -> Pat
     (_, index, table), *rest = words or [(0, np.zeros(rows, dtype=np.int64), _word_table(0, u, d))]
     stat = getattr(table, statistic)[index]
     # total and low extend from the last price before each later word.
-    last = table.last[index] if statistic in ("total", "low") else None
+    last = table.last[index] if rest and statistic in ("total", "low") else None
     for k, (width, index, table) in enumerate(rest, 1):
         if statistic == "codes":
             stat <<= width
@@ -279,6 +282,58 @@ def fold_rows(rows: int, u: float, d: float, words: list, statistic: str) -> Pat
         if last is not None and k < len(rest):
             last *= table.last[index]
     return PathTable(**{statistic: stat})
+
+
+def level_groups(steps: int) -> list:
+    """The codes of all 2^steps words in steps + 1 groups, group k the words of k up moves.
+
+    On the recombinant tree the words of a group end at one price, so a
+    table's rows of one group share their last price.
+    """
+    codes = np.arange(1 << steps)
+    ups = np.zeros_like(codes)
+    for t in range(steps):
+        ups += (codes >> t) & 1
+    order = np.argsort(ups, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(ups, minlength=steps + 1))[:-1])
+
+
+class SortedTable(NamedTuple):
+    """Entries sorted by a key, with running sums of their weight and weight * value.
+
+    weight[i] and moment[i] sum the i entries of smallest key, from
+    weight[0] = moment[0] = 0, so the entries below any bound sum with
+    one binary search (below).  A sum over the entries on one side of a
+    kink, as a put's payoff has, is then one search per query.
+    """
+
+    key: np.ndarray
+    weight: np.ndarray
+    moment: np.ndarray
+
+    def below(self, bound) -> tuple:
+        """(weight, moment) of the entries whose key is below each bound."""
+        i = np.searchsorted(self.key, bound)
+        return self.weight[i], self.moment[i]
+
+
+def sorted_table(key: np.ndarray, weight: Optional[np.ndarray] = None,
+                 value: Optional[np.ndarray] = None) -> SortedTable:
+    """SortedTable of entries with these keys, weights and values.
+
+    Without weight, every entry weighs 1 and its value is its key: a
+    sample's counts and sums.  Otherwise ties keep their input order
+    (a stable sort), so the running sums are the same on every host.
+    """
+    if weight is None:
+        key = np.sort(key)
+        return SortedTable(key, np.arange(key.shape[0] + 1.0), _running(key))
+    order = np.argsort(key, kind="stable")
+    return SortedTable(key[order], _running(weight[order]), _running((weight * value)[order]))
+
+
+def _running(a: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0.0], np.cumsum(a)))
 
 
 def fold_bits(bits: np.ndarray, u: float, d: float, statistic: str) -> PathTable:

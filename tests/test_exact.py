@@ -300,15 +300,15 @@ def test_tracing_hooks_resolve_and_callable_matches_builtin_twin(monkeypatch):
     assert [draws > 0 for _, draws, _ in est.per_stratum] == [False, True] * 4
     assert calls["binpaths.mc.mc_stream"] == 1
     assert calls["binpaths.mc.sample_rows"] == 1
-    # 8 strata of 5,000 draws of 3 steps: their first bits 0, 15,000, ...,
-    # 105,000 fall in four CHUNK blocks, so they make four chunks, read in
-    # one thread run from one stream.
+    # 8 strata of 5,000 draws: their first rows 0, 5,000, ..., 35,000 fall
+    # in five CHUNK_ROWS blocks, so they make five chunks, read in one
+    # thread run from one stream.
     for name in ("binpaths.mc.mc_stream", "binpaths.mc.sample_rows"):
         calls[name] = 0
     mc.estimate_partitioned_equal(skewed_req, mc.McConfig(R=5000, M=8))
-    assert {b * 15_000 // mc.CHUNK for b in range(8)} == {0, 1, 2, 3}
+    assert {b * 5_000 // mc.CHUNK_ROWS for b in range(8)} == {0, 1, 2, 3, 4}
     assert calls["binpaths.mc.mc_stream"] == 1
-    assert calls["binpaths.mc.sample_rows"] == 4
+    assert calls["binpaths.mc.sample_rows"] == 5
     assert calls["binpaths.mc.sample_bits"] == 0
 
     def asian_put_clone(params, S0, K, path):
@@ -408,7 +408,8 @@ def test_one_usable_core_evaluates_ranks_without_a_pool(monkeypatch):
 def test_thread_requests_are_capped_at_the_usable_cores(monkeypatch):
     # Every engine sizes its pool in _map_in_order: eight threads asked of
     # two usable cores give a pool of two, whose runs, here called inline,
-    # give the one-thread estimate bit for bit.
+    # give the one-thread estimate bit for bit.  The shared estimator joins
+    # a callable in batches of rows; it sums a built-in by levels, inline.
     from binpaths import exact, mc
 
     pools = []
@@ -416,14 +417,19 @@ def test_thread_requests_are_capped_at_the_usable_cores(monkeypatch):
     monkeypatch.setattr(exact, "usable_cores", lambda: 2)
     inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=16)
     req = ValuationRequest(inputs=inputs, params=derive_crr(inputs), kind=PayoffKind.ASIAN_PUT)
-    for estimator, cfg in ((mc.estimate_partitioned, mc.McConfig(R=1 << 15, M=1024)),
-                           (mc.estimate_partitioned_equal, mc.McConfig(R=2048, M=64)),
-                           (mc.estimate_shared, mc.McConfig(R=1 << 12, M=1024))):
+    parity = replace(req, kind=lambda params, S0, K, path: float(path.code & 1))
+    for estimator, cfg, req_ in ((mc.estimate_partitioned, mc.McConfig(R=1 << 15, M=1024), req),
+                                 (mc.estimate_partitioned_equal, mc.McConfig(R=2048, M=64), req),
+                                 (mc.estimate_shared, mc.McConfig(R=64, M=1024), parity)):
         pools.clear()
-        threaded = estimator(req, cfg, eval_threads=8)
+        threaded = estimator(req_, cfg, eval_threads=8)
         assert pools == [2], estimator.__name__
-        assert threaded == estimator(req, cfg, eval_threads=1)
+        assert threaded == estimator(req_, cfg, eval_threads=1)
         assert pools == [2]
+    pools.clear()
+    shared = mc.McConfig(R=1 << 12, M=1024)
+    assert mc.estimate_shared(req, shared, eval_threads=8) == mc.estimate_shared(req, shared)
+    assert pools == []
 
     # N=18 has 8 batches of rows, so only the cores cap the pool.
     inputs = replace(inputs, N=18)

@@ -7,6 +7,7 @@ import pytest
 
 from binpaths import (
     MAX_DEPTH,
+    BernoulliPath,
     InfeasibleAllocation,
     InvalidInput,
     InvalidWorkerCount,
@@ -30,10 +31,11 @@ from binpaths import (
     value_exact_serial,
     with_custom_probs,
 )
+from binpaths import mc
 from binpaths.exact import CHUNK, join_rows
-from binpaths.mc import _alias_table, sample_bits, sample_rows
+from binpaths.mc import CHUNK_ROWS, _alias_table, sample_bits, sample_rows
 from binpaths.paths import PathTable, codes_to_bits, fold_bits, path_table, word_widths
-from binpaths.payoffs import join_paths, join_payoff, payoff_batch
+from binpaths.payoffs import join_paths, join_payoff, payoff_batch, suffix_statistic
 
 from oracles import brute_payoff, brute_prices
 
@@ -400,10 +402,10 @@ def test_stratified_rejects_more_strata_than_paths():
 
 @pytest.mark.parametrize("estimator", STRATIFIED)
 def test_single_stratum_beyond_one_chunk_is_bitwise_basic(estimator):
-    # 3,000 draws of 12 steps: more sampled bits than one chunk holds, and
-    # a stratum is never split.
-    cfg = McConfig(R=3000, M=1, seed=8)
-    assert 12 * cfg.R > CHUNK
+    # 9,000 draws: more rows than one chunk holds, and a stratum is never
+    # split.
+    cfg = McConfig(R=9000, M=1, seed=8)
+    assert cfg.R > CHUNK_ROWS
     base = estimate_basic(_desk_req(), cfg)
     est = estimator(_desk_req(), cfg)
     assert (est.value, est.variance, est.R_used) == (base.value, base.variance, base.R_used)
@@ -422,7 +424,9 @@ def test_single_stratum_is_bitwise_basic(estimator):
 
 
 def test_single_stratum_identity_holds_across_reps_and_kinds():
-    for kind in (PayoffKind.FIXED_LOOKBACK_PUT, PayoffKind.EUROPEAN_CALL):
+    # M = 1 keeps estimate_basic's stream and arithmetic: the shared
+    # estimator joins it through join_rows, not by levels.
+    for kind in PayoffKind:
         req = _desk_req(kind)
         for rep in (0, 3):
             base = estimate_basic(req, McConfig(R=256, M=1, seed=5), rep=rep)
@@ -480,11 +484,11 @@ def test_zero_mass_strata_are_skipped_not_sampled():
     # empty strata after it make a chunk of their own.
     skewed = replace(DESK_PARAMS, up_probs=np.array([0.0, 0.0] + [0.4] * 10))
     req = ValuationRequest(inputs=DESK, params=skewed, kind=PayoffKind.ASIAN_PUT)
-    cfg = McConfig(R=4000, M=4, seed=3)
-    assert 10 * cfg.R > CHUNK
+    cfg = McConfig(R=9000, M=4, seed=3)
+    assert cfg.R > CHUNK_ROWS
     est = estimate_partitioned(req, cfg)
     assert [(draws, theta > 0.0) for _, draws, theta in est.per_stratum] == \
-        [(4000, True), (0, False), (0, False), (0, False)]
+        [(9000, True), (0, False), (0, False), (0, False)]
     assert est.value == math.exp(-0.06) * est.per_stratum[0][2]
     assert estimate_partitioned(req, cfg, eval_threads=2) == est
 
@@ -523,9 +527,11 @@ def _code_parity(params, S0, K, path):
 
 @pytest.mark.parametrize("estimator", STRATIFIED)
 def test_eval_threads_do_not_change_results(estimator, monkeypatch):
-    # 8192 draws of 9 sampled steps fill 3 chunks of strata (8 at equal
-    # allocation), and the shared sample joins 8 prefixes in 2 batches.
-    cfg = McConfig(R=8192, M=8, seed=13)
+    # 24,576 draws fill 3 chunks of strata; 8,192 draws in each of 8
+    # strata make 8 chunks at equal allocation.  The shared sample sums a
+    # built-in payoff by levels, inline, and joins a callable's 8 prefixes
+    # in 2 batches.
+    cfg = McConfig(R=24576 if estimator is estimate_partitioned else 8192, M=8, seed=13)
     for kind in [*PayoffKind, _code_parity]:
         lone = estimator(_desk_req(kind), cfg, eval_threads=1)
         for threads in (1, 2, 4):
@@ -572,39 +578,42 @@ def test_a_payoff_folds_only_the_statistic_it_reads(kind, folded, monkeypatch):
             join_rows(req, heads, tails, lambda lo, hi, values: values, 2)
 
     # estimate_shared folds its one sample for the payoff, once, and hands
-    # it to join_rows' threads.
+    # it to the level sums (a built-in) or to join_rows' threads (a callable).
     seen = []
+    name = "join_rows" if folded == "codes" else "_level_sums"
+    real = getattr(mc, name)
 
-    def spy_join(req, prefix, suffix, reduce, threads):
+    def spy(req, prefix, suffix, *rest):
         seen.append(held(suffix))
-        return join_rows(req, prefix, suffix, reduce, threads)
+        return real(req, prefix, suffix, *rest)
 
-    monkeypatch.setattr("binpaths.mc.join_rows", spy_join)
+    monkeypatch.setattr(mc, name, spy)
     estimate_shared(req, McConfig(R=256, M=8, seed=4), eval_threads=2)
     assert seen == [[folded]]
 
 
 def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_count(
         monkeypatch):
-    # M=1024 at N=16 leaves 6 sampled steps per draw, so R=32768 fills six
-    # chunks.  p = 1 on step 2 and p = 0 on step 7 take the mass from three
-    # strata in four, in runs of 8 that fall inside chunks.
+    # M=1024 at N=16 leaves 6 sampled steps per draw, and R=49152 rows fill
+    # six chunks (48 draws in each of 1024 strata, too).  p = 1 on step 2
+    # and p = 0 on step 7 take the mass from three strata in four, in runs
+    # of 8 that fall inside chunks.
     inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=16)
     probs = np.full(16, 0.3)
     probs[1], probs[6] = 1.0, 0.0
     params = replace(derive_crr(inputs), up_probs=probs)
     req = ValuationRequest(inputs=inputs, params=params, kind=PayoffKind.ASIAN_PUT)
-    cfg = McConfig(R=32768, M=1024, seed=21)
+    cfg = McConfig(R=49152, M=1024, seed=21)
     est = estimate_partitioned(req, cfg)
     draws = [d for _, d, _ in est.per_stratum]
-    assert 6 * sum(draws) > 5 * CHUNK
+    assert sum(draws) > 5 * CHUNK_ROWS
     assert [d > 0 for d in draws[248:280]] == ([False] * 8 + [True] * 8) * 2
     assert sum(d > 0 for d in draws) == 256
     for threads in (2, 3, 4):
         assert estimate_partitioned(req, cfg, eval_threads=threads) == est
-    equal = estimate_partitioned_equal(req, McConfig(R=32, M=1024, seed=21))
+    equal = estimate_partitioned_equal(req, McConfig(R=48, M=1024, seed=21))
     for threads in (2, 3, 4):
-        assert estimate_partitioned_equal(req, McConfig(R=32, M=1024, seed=21),
+        assert estimate_partitioned_equal(req, McConfig(R=48, M=1024, seed=21),
                                           eval_threads=threads) == equal
     # With 8 usable cores, 3 to 6 threads split the six chunks into as
     # many runs, uneven ones included.
@@ -612,13 +621,13 @@ def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_c
         patch.setattr("binpaths.exact.usable_cores", lambda: 8)
         for threads in (3, 4, 5, 6):
             assert estimate_partitioned(req, cfg, eval_threads=threads) == est
-            assert estimate_partitioned_equal(req, McConfig(R=32, M=1024, seed=21),
+            assert estimate_partitioned_equal(req, McConfig(R=48, M=1024, seed=21),
                                               eval_threads=threads) == equal
 
     # Stratum m's rows are rows [sum(draws[:m]), sum(draws[:m + 1])) of one
     # sample of the repetition's stream.  Stratum at a time, each mean and
     # SSE is the chunked one, bit for bit, from the fold of the rows' bits.
-    drawn = sample_rows(mc_stream(21, 0, 0), probs[10:], 32768, params.u, params.d, "codes")
+    drawn = sample_rows(mc_stream(21, 0, 0), probs[10:], cfg.R, params.u, params.d, "codes")
     sample = codes_to_bits(drawn.codes, 6)
     first = np.cumsum(draws) - draws
     heads = path_table(probs[:10], params.u, params.d, 20.0)
@@ -631,7 +640,7 @@ def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_c
             sses[m] = np.sum((values - values.mean()) ** 2)
         else:
             assert est.per_stratum[m][2] == 0.0
-    assert est.variance == math.exp(-0.06) ** 2 * (float(np.sum(sses)) / 32768**2)
+    assert est.variance == math.exp(-0.06) ** 2 * (float(np.sum(sses)) / cfg.R**2)
 
     sampled = [m for m in range(1024) if draws[m]]
     for m in sampled[::37]:
@@ -642,8 +651,109 @@ def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_c
         assert est.per_stratum[m][2] == pytest.approx(np.mean(values), rel=1e-12)
 
 
+@pytest.mark.parametrize("R", [4096, 1000])
+def test_equal_strata_chunks_match_a_stratum_at_a_time(R, monkeypatch):
+    # 64 strata of R draws at N=16: a chunk holds 2 strata (R=4096) or 8 to
+    # 9 (R=1000), all of one count, so it is one (strata, draws) block.
+    inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=16)
+    params = derive_crr(inputs)
+    req = ValuationRequest(inputs=inputs, params=params, kind=PayoffKind.ASIAN_PUT)
+    cfg = McConfig(R=R, M=64, seed=29)
+    est = estimate_partitioned_equal(req, cfg)
+    chunks = np.unique(np.arange(64) * R // CHUNK_ROWS)
+    assert 1 < len(chunks) <= 32
+
+    # Stratum m's rows are rows [m * R, (m + 1) * R) of one sample, folded
+    # from their bits and joined and reduced one stratum at a time.
+    drawn = sample_rows(mc_stream(29, 0, 0), params.up_probs[6:], 64 * R, params.u, params.d,
+                        "codes")
+    sample = codes_to_bits(drawn.codes, 10)
+    heads = path_table(params.up_probs[:6], params.u, params.d, 20.0)
+    thetas, sses = np.zeros(64), np.zeros(64)
+    for m in range(64):
+        suffix = fold_bits(sample[m * R:(m + 1) * R], params.u, params.d, "total")
+        values = join_payoff(PayoffKind.ASIAN_PUT, 100.0, 16, heads.rows(m, m + 1), suffix)[0]
+        thetas[m] = float(values.mean())
+        sses[m] = float(np.sum((values - thetas[m]) ** 2))
+    w, disc = heads.weight, math.exp(-0.06)
+    assert est.per_stratum == tuple(zip(range(64), [R] * 64, thetas.tolist()))
+    assert est.value == disc * float(np.sum(thetas * w))
+    assert est.variance == disc * disc * float(np.sum(w * w * sses / (R * R)))
+    for threads in (2, 3, 4):
+        assert estimate_partitioned_equal(req, cfg, eval_threads=threads) == est
+    with monkeypatch.context() as patch:
+        patch.setattr("binpaths.exact.usable_cores", lambda: 8)
+        for threads in (3, 4, 5, 6):
+            assert estimate_partitioned_equal(req, cfg, eval_threads=threads) == est
+
+
+def test_shared_callable_joins_every_prefix_through_join_rows(monkeypatch):
+    # A callable sums no levels: join_rows joins its 8 prefixes with 4,097
+    # shared draws in batches of 7 rows and 1, each summed prefix after
+    # prefix, as the loop below sums them.
+    inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=12)
+    params = derive_crr(inputs)
+
+    def asian_put_clone(params, S0, K, path):
+        price, total = S0, 0.0
+        for up in path.bits():
+            price *= params.u if up else params.d
+            total += price
+        return max(K - total / path.n, 0.0)
+
+    req = ValuationRequest(inputs=inputs, params=params, kind=asian_put_clone)
+    cfg = McConfig(R=4097, M=8, seed=17)
+    est = estimate_shared(req, cfg)
+    drawn = sample_rows(mc_stream(17), params.up_probs[3:], cfg.R, params.u, params.d, "codes")
+    heads = path_table(params.up_probs[:3], params.u, params.d, 20.0)
+    inner = np.zeros(cfg.R)
+    for m in range(8):
+        values = np.array([asian_put_clone(params, 20.0, 100.0, BernoulliPath((m << 9) | c, 12))
+                           for c in drawn.codes.tolist()])
+        assert est.per_stratum[m] == (m, cfg.R, float(values.mean()))
+        inner += heads.weight[m] * values
+    theta, disc = float(inner.mean()), math.exp(-0.06)
+    assert est.value == disc * theta
+    assert est.variance == disc * disc * (float(np.sum((inner - theta) ** 2)) / cfg.R**2)
+    twin = estimate_shared(replace(req, kind=PayoffKind.ASIAN_PUT), cfg)
+    assert est.value == pytest.approx(twin.value, rel=1e-12)
+    for threads in (2, 3, 4):
+        assert estimate_shared(req, cfg, eval_threads=threads) == est
+    with monkeypatch.context() as patch:
+        patch.setattr("binpaths.exact.usable_cores", lambda: 8)
+        for threads in (3, 4):
+            assert estimate_shared(req, cfg, eval_threads=threads) == est
+
+
+@pytest.mark.parametrize("kind", list(PayoffKind), ids=lambda k: k.value)
+def test_shared_level_sums_match_the_join_of_every_prefix_and_draw(kind):
+    # M=1024 at N=16: 11 levels of prefixes, one search per level and draw,
+    # against every prefix joined with every draw and summed exactly.
+    inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=16)
+    params = derive_crr(inputs)
+    cfg = McConfig(R=4096, M=1024, seed=7)
+    est = estimate_shared(ValuationRequest(inputs=inputs, params=params, kind=kind), cfg)
+    name = suffix_statistic(kind)
+    suffix = sample_rows(mc_stream(7), params.up_probs[10:], cfg.R, params.u, params.d, name)
+    heads = path_table(params.up_probs[:10], params.u, params.d, 20.0)
+    inner = np.array([
+        math.fsum((heads.weight * join_payoff(kind, 100.0, 16, heads, PathTable(**{name: x})))
+                  .tolist())
+        for x in getattr(suffix, name)])
+    means = np.concatenate([
+        [math.fsum(row) / cfg.R
+         for row in join_payoff(kind, 100.0, 16, heads.rows(lo, lo + 64), suffix).tolist()]
+        for lo in range(0, 1024, 64)])
+    theta, disc = math.fsum(inner.tolist()) / cfg.R, math.exp(-0.06)
+    sse = math.fsum(((inner - theta) ** 2).tolist())
+    assert est.value == pytest.approx(disc * theta, rel=1e-13)
+    assert est.variance == pytest.approx(disc * disc * sse / cfg.R**2, rel=1e-13)
+    got = np.array([mean for _, _, mean in est.per_stratum])
+    assert np.max(np.abs(got - means)) <= 1e-13 * np.max(np.abs(means))
+
+
 def test_shared_chunks_match_brute_force_per_draw():
-    # R=2048 puts 16 prefixes in a chunk, so M=32 runs two chunks.
+    # The 32 prefixes fall in 6 levels, each summed with one search per draw.
     inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=8)
     params = derive_crr(inputs)
     req = ValuationRequest(inputs=inputs, params=params, kind=PayoffKind.ASIAN_PUT)

@@ -68,7 +68,8 @@ from binpaths import (
     with_custom_probs,
 )
 
-from binpaths.mc import _allocate, mc_stream, sample_rows
+from binpaths.mc import (_allocate, _block_mean_sse, _mean_sse, _segment_mean_sse, mc_stream,
+                         sample_rows)
 from binpaths.paths import WORD_REACH, PathTable, codes_to_bits, fold_bits, path_table
 from binpaths.payoffs import join_payoff, suffix_statistic
 
@@ -364,8 +365,8 @@ def stratified_cases(draw):
     kind = draw(st.sampled_from(list(PayoffKind)))
     m = 1 << r
     # R >= 2M leaves some stratum two draws.  The larger draw counts fill
-    # up to five chunks of CHUNK bits; the odd jitter moves the offsets.
-    extra = draw(st.sampled_from([0, 100, 1000, 4000, 12000])) + draw(st.integers(0, 63))
+    # up to five chunks of CHUNK_ROWS rows; the odd jitter moves the offsets.
+    extra = draw(st.sampled_from([0, 100, 1000, 4000, 40000])) + draw(st.integers(0, 63))
     R = 2 * m + extra
     equal_R = max(2, extra // m)
     return (ValuationRequest(inputs=inputs, params=params, kind=kind), m, R, equal_R,
@@ -405,7 +406,7 @@ def _desk_request(n, probs=None, kind=PayoffKind.ASIAN_PUT):
 @given(stratified_cases())
 # Both estimators run more than one chunk, so on two or more threads a later
 # run jumps its stream past the rows of the runs before it.
-@example((_desk_request(9), 16, 7001, 1001, 5, 1))
+@example((_desk_request(9), 16, 17001, 1001, 5, 1))
 @example((_desk_request(13, kind=PayoffKind.FIXED_LOOKBACK_PUT), 1024, 16383, 13, 7, 0))
 # M = 2^N: no suffix steps, and p = 0 or 1 leaves three strata in four
 # without mass.
@@ -436,3 +437,66 @@ def test_stratified_estimators_read_one_stream_stratum_after_stratum(case):
         for estimator in (estimate_partitioned, estimate_partitioned_equal, estimate_shared):
             est = estimator(req, McConfig(R=R, M=1, seed=seed), rep=rep)
             assert (est.value, est.variance) == (basic.value, basic.variance)
+
+
+@st.composite
+def runs(draw):
+    """Run lengths from 0 to 300, some of them empty, or k runs of one length."""
+    if draw(st.booleans()):
+        return [draw(st.integers(1, 300))] * draw(st.integers(1, 12))
+    return draw(st.lists(st.integers(0, 300) | st.just(0), min_size=1, max_size=12))
+
+
+@DETERMINISTIC
+@given(runs(), st.integers(0, 2**32 - 1))
+def test_segmented_and_block_reductions_are_mean_sse_of_each_run(counts, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(sum(counts)) * 10.0 ** rng.integers(-3, 4, sum(counts))
+    theta, sse = _segment_mean_sse(values, np.array(counts))
+    row = 0
+    for i, count in enumerate(counts):
+        want = _mean_sse(values[row:row + count]) if count else (0.0, 0.0)
+        assert (theta[i], sse[i]) == want
+        row += count
+    if min(counts) == max(counts) > 0:
+        block = _block_mean_sse(values.reshape(len(counts), -1).copy())
+        assert np.array_equal(block[0], theta) and np.array_equal(block[1], sse)
+
+
+@st.composite
+def shared_cases(draw):
+    """A tree of 1 to 12 steps with 0 and 1 among its step probabilities,
+    M = 2^r strata for 1 <= r <= N, a built-in kind and 2 to 600 draws."""
+    n = draw(st.integers(1, 12))
+    probs = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95),
+                          min_size=n, max_size=n))
+    inputs = MarketInputs(S0=draw(st.floats(1.0, 50.0)), K=draw(st.floats(0.0, 100.0)),
+                          q=0.06, sigma=draw(st.floats(0.1, 3.0)), T=1.0, N=n)
+    params = replace(derive_crr(inputs), up_probs=np.array(probs))
+    kind = draw(st.sampled_from(list(PayoffKind)))
+    return (ValuationRequest(inputs=inputs, params=params, kind=kind),
+            1 << draw(st.integers(1, n)), draw(st.integers(2, 600)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(shared_cases())
+# M = 2^N: every draw is the empty suffix.
+@example((_desk_request(6, kind=PayoffKind.FIXED_LOOKBACK_PUT), 64, 5, 3))
+def test_shared_level_sums_match_the_join_on_random_trees(case):
+    req, M, R, seed = case
+    params, n, K = req.params, req.inputs.N, req.inputs.K
+    r = M.bit_length() - 1
+    est = estimate_shared(req, McConfig(R=R, M=M, seed=seed))
+    suffix = sample_rows(mc_stream(seed), params.up_probs[r:], R, params.u, params.d,
+                         suffix_statistic(req.kind))
+    heads = path_table(params.up_probs[:r], params.u, params.d, req.inputs.S0)
+    values = join_payoff(req.kind, K, n, heads.rows(0, M), suffix)
+    inner = np.sum(values * heads.weight[:, None], axis=0)
+    means = values.mean(axis=1)
+    disc = math.exp(-req.inputs.q * req.inputs.T)
+    scale = max(K, float(np.max(np.abs(means))))
+    assert est.value == pytest.approx(disc * float(inner.mean()), rel=1e-12, abs=1e-13 * scale)
+    variance = disc * disc * float(np.sum((inner - inner.mean()) ** 2)) / (R * R)
+    assert est.variance == pytest.approx(variance, rel=1e-9, abs=1e-12 * scale * scale / R)
+    got = np.array([mean for _, _, mean in est.per_stratum])
+    assert np.max(np.abs(got - means)) <= 1e-12 * scale
