@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     price.add_argument("--force-large", action="store_true",
                        help="allow exact enumeration beyond N=28")
     price.add_argument("--eval-threads", type=_count, default=1,
-                       help="threads for pmc, pmc-equal and smc at M=1; like --workers for exact, "
-                            "at most one per usable core, and no result changes")
+                       help="threads over pmc and pmc-equal chunks of about 8,192 draws; M=1 "
+                            "and smc run on one; at most one per usable core; no result changes")
     price.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     price.set_defaults(handler=cmd_price)
 

@@ -16,7 +16,8 @@ path_table, holds every stratum's mass (its weight) and its state after
 r steps, and the sampled suffix rows, folded for the statistic the
 payoff reads, extend that state to whole paths.  The basic estimator is
 the case r = 0, through payoff_batch.
-sample_rows is the one sampler.  It cuts a row into the words of
+sample_rows is the one sampler: sample_path draws one row of it, and
+sample_bits is the bits of its codes.  It cuts a row into the words of
 paths.word_widths, of at most 12 steps, and draws each word with
 Walker's alias method from one 64-bit PCG64DXSM output: the top w bits
 pick a bucket of the word's alias table, and the low 64 - w bits are
@@ -25,11 +26,11 @@ whole output with the bucket's key.  Each output becomes one index into
 the word's memoised resolved table (_word_draws), which holds the code
 and state of the bucket's own word and of its alias, and
 paths.fold_rows folds from those indices the one statistic asked for,
-so no call builds a bit matrix or a rows x steps float array.  The
-memos hold at most 8 resolved tables (288 KB each), 8 alias tables
-(64 KB) and 8 word tables (160 KB), 4 MB in all.  The 4 MB block that
-importing the module maps and frees (see the note by CHUNK_ROWS) holds
-no memory after import.
+so no call builds a rows x steps float array.  The memos hold at most
+8 resolved tables (288 KB each) and 8 word tables (160 KB), 3.6 MB in
+all; an alias table is built once per resolved table and not kept.
+The 4 MB block that importing the module maps and frees (see the note
+by CHUNK_ROWS) holds no memory after import.
 The stratified estimators work in chunks of consecutive whole strata:
 a stratum opens a new chunk when its first row passes a multiple of
 CHUNK_ROWS (2^13), so each of a chunk's float64 arrays holds about
@@ -49,9 +50,13 @@ through exact.join_rows, the exact engine's batched join,
 max(1, exact.CHUNK // R) rows a batch.
 eval_threads follows the exact engine's thread rule (exact._map_in_order):
 one contiguous run of whole chunks or batches per thread, at most one
-thread per usable core.  Chunk and batch bounds depend on the allocation
-(or M and R) and N alone, so no thread count changes a result.  The
-level sums run inline.
+thread per usable core and per chunk or batch.  Chunk and batch bounds
+depend on the allocation (or M and R) and N alone, so no thread count
+changes a result.  So threads run only where a call has several: the
+stratified estimators past about CHUNK_ROWS draws in all, and the
+shared estimator with a callable payoff past max(1, exact.CHUNK // R)
+prefix rows.  Every estimator runs on one thread at M = 1, and the
+basic estimator and the level sums always do.
 
 Each repetition draws from one PCG64DXSM stream keyed by (master seed,
 repetition index), mc_stream(seed, 0, rep).  A row is one raw uint64 of
@@ -91,6 +96,7 @@ from .paths import (
     block_probabilities,
     block_probability,  # noqa: F401  the benchmark's tracer wraps mc.block_probability
     check_fits,
+    codes_to_bits,
     fold_rows,
     level_groups,
     path_table,
@@ -183,20 +189,6 @@ def mc_stream(seed: int, stratum: int = 0, rep: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
-def sample_bits(rng: np.random.Generator, probs: np.ndarray, count: int) -> np.ndarray:
-    """(count, len(probs)) Bernoulli matrix, bit t true with prob probs[t].
-
-    One uniform per bit, row by row: a large count builds the whole
-    count x steps float matrix on the way.
-    """
-    return rng.random((count, probs.shape[0])) < probs
-
-
-# Memoised although its one caller, _word_draws, is memoised too: the held
-# arrays change where glibc places later arrays and when it trims its heap.
-# Without them mc-basic has been measured up to 1.5x slower per pass, a gap
-# that closed with glibc's trim and mmap thresholds raised.
-@lru_cache(maxsize=8)
 def _alias_table(probs: tuple) -> tuple:
     """Walker alias table (thr, alias) of the words of len(probs) steps.
 
@@ -207,7 +199,8 @@ def _alias_table(probs: tuple) -> tuple:
     2^(64 - w): bucket i keeps thr[i] of its own word and the rest of
     alias[i].  Exact sums leave no bucket unpaired, so a zero-mass word
     keeps threshold 0 and an alias of positive mass.  A table of 2^w
-    entries costs a few ms to build and at most 64 KB.
+    entries costs a few ms to build; _word_draws, its one caller, keeps
+    what it needs of it.
     """
     w = len(probs)
     n, cap = 1 << w, 1 << (64 - w)
@@ -266,11 +259,6 @@ def sample_rows(rng: np.random.Generator, probs: np.ndarray, count: int,
     and paths.fold_rows folds statistic from those indices.
     """
     widths = word_widths(probs.shape[0], u, d)
-    # The per-word _word_draws lookups stay in the word loop below.  Hoisted
-    # into one memoised per-call plan, without the 4 MB block at the top of
-    # this module, they moved the heap chunk that kept glibc from trimming
-    # the call's arrays: warm estimate_basic (N=32, R=2^16) went from 0 to
-    # 768 minor faults a call in a perfbench-style loop.
     rng.bit_generator.advance(first * len(widths))
     raw = rng.bit_generator.random_raw(count * len(widths)).reshape(count, len(widths))
     words = []
@@ -283,17 +271,26 @@ def sample_rows(rng: np.random.Generator, probs: np.ndarray, count: int,
         index |= moved
         words.append((w, index, states))
     # The raw block, its column view and the last compare mask die before
-    # the fold.  With any of them alive, glibc's heap settled into trimming
-    # and regrowing about 3 MB on every warm estimate_basic call (asian-put,
-    # N=32, R=2^16): some 750 minor page faults a call where there are none.
+    # the fold, so the fold's arrays reuse their memory: kept alive, they
+    # raise a warm estimate_basic loop's peak RSS (asian-put, N=32, R=2^16)
+    # by about 1.5 MB.
     raw = value = moved = None
     return fold_rows(count, u, d, words, statistic)
 
 
+def sample_bits(rng: np.random.Generator, probs: np.ndarray, count: int) -> np.ndarray:
+    """(count, len(probs)) Bernoulli matrix, bit t true with prob probs[t].
+
+    The bits of the codes sample_rows draws, with the word cut of
+    ordinary moves.
+    """
+    return codes_to_bits(sample_rows(rng, probs, count, 1.0, 1.0, "codes").codes, probs.shape[0])
+
+
 def sample_path(params, rng: np.random.Generator) -> BernoulliPath:
-    """Draw one path, bit t up with probability p_t."""
-    bits = sample_bits(rng, params.up_probs, 1)[0]
-    return BernoulliPath.from_bits([int(b) for b in bits])
+    """Draw one path, bit t up with probability p_t: one row of sample_rows."""
+    code = sample_rows(rng, params.up_probs, 1, params.u, params.d, "codes").codes[0]
+    return BernoulliPath(int(code), params.n_steps)
 
 
 def _prefix_table(req: ValuationRequest, M: int) -> PathTable:
@@ -350,8 +347,13 @@ def _segment_mean_sse(values: np.ndarray, counts: np.ndarray) -> tuple:
 
 
 def _estimate(req: ValuationRequest, cfg: McConfig, theta: float, var_theta: float,
-              R_used: int, method: str, per_stratum: Optional[tuple] = None) -> Estimate:
-    """The one reduction: discount theta and its variance, guard, standard error."""
+              R_used: int, method: str, counts: Optional[np.ndarray] = None,
+              means: Optional[np.ndarray] = None) -> Estimate:
+    """The one reduction: discount theta and its variance, guard, standard error.
+
+    Stratum m is reported as (m, counts[m], means[m]); without counts
+    (the basic estimator) per_stratum is None.
+    """
     disc = math.exp(-req.inputs.q * req.inputs.T)
     value = _finite(disc * theta)
     variance = _finite(disc * disc * var_theta)
@@ -362,7 +364,8 @@ def _estimate(req: ValuationRequest, cfg: McConfig, theta: float, var_theta: flo
         R_used=R_used,
         method=method,
         seed=cfg.seed,
-        per_stratum=per_stratum,
+        per_stratum=None if counts is None
+        else tuple(zip(range(cfg.M), counts.tolist(), means.tolist())),
     )
 
 
@@ -470,12 +473,9 @@ def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: in
         return out
 
     per = _map_in_order(run, len(chunks), eval_threads)
-    thetas = np.concatenate([t for t, _ in per])
-    sses = np.concatenate([s for _, s in per])
-    return _estimate(
-        req, cfg, float(np.sum(thetas * prefix.weight)), var_theta(sses), int(alloc.sum()),
-        method, tuple(zip(range(cfg.M), alloc.tolist(), thetas.tolist())),
-    )
+    thetas, sses = (np.concatenate(parts) for parts in zip(*per))
+    return _estimate(req, cfg, float(np.sum(thetas * prefix.weight)), var_theta(sses),
+                     int(alloc.sum()), method, alloc, thetas)
 
 
 @quiet_non_finite
@@ -560,10 +560,8 @@ def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
         inner = reduce(np.add, (inner for inner, _ in batches))
         means = np.concatenate([m for _, m in batches])
     theta, sse = _mean_sse(inner)
-    return _estimate(
-        req, cfg, theta, sse / (cfg.R * cfg.R), cfg.R, "shared",
-        tuple((m, cfg.R, float(means[m])) for m in range(cfg.M)),
-    )
+    return _estimate(req, cfg, theta, sse / (cfg.R * cfg.R), cfg.R, "shared",
+                     np.full(cfg.M, cfg.R), means)
 
 
 @np.errstate(divide="ignore")

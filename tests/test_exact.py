@@ -410,6 +410,8 @@ def test_thread_requests_are_capped_at_the_usable_cores(monkeypatch):
     # two usable cores give a pool of two, whose runs, here called inline,
     # give the one-thread estimate bit for bit.  The shared estimator joins
     # a callable in batches of rows; it sums a built-in by levels, inline.
+    # At M = 1 every estimator has one chunk or one batch, so no pool opens
+    # however many draws it makes.
     from binpaths import exact, mc
 
     pools = []
@@ -418,18 +420,19 @@ def test_thread_requests_are_capped_at_the_usable_cores(monkeypatch):
     inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=16)
     req = ValuationRequest(inputs=inputs, params=derive_crr(inputs), kind=PayoffKind.ASIAN_PUT)
     parity = replace(req, kind=lambda params, S0, K, path: float(path.code & 1))
-    for estimator, cfg, req_ in ((mc.estimate_partitioned, mc.McConfig(R=1 << 15, M=1024), req),
-                                 (mc.estimate_partitioned_equal, mc.McConfig(R=2048, M=64), req),
-                                 (mc.estimate_shared, mc.McConfig(R=64, M=1024), parity)):
+    for estimator, cfg, req_, pool in (
+            (mc.estimate_partitioned, mc.McConfig(R=1 << 15, M=1024), req, [2]),
+            (mc.estimate_partitioned_equal, mc.McConfig(R=2048, M=64), req, [2]),
+            (mc.estimate_shared, mc.McConfig(R=64, M=1024), parity, [2]),
+            (mc.estimate_shared, mc.McConfig(R=1 << 12, M=1024), req, []),
+            (mc.estimate_shared, mc.McConfig(R=1 << 15, M=1), req, []),
+            (mc.estimate_partitioned, mc.McConfig(R=1 << 15, M=1), req, []),
+            (mc.estimate_partitioned_equal, mc.McConfig(R=1 << 15, M=1), req, [])):
         pools.clear()
         threaded = estimator(req_, cfg, eval_threads=8)
-        assert pools == [2], estimator.__name__
+        assert pools == pool, (estimator.__name__, cfg)
         assert threaded == estimator(req_, cfg, eval_threads=1)
-        assert pools == [2]
-    pools.clear()
-    shared = mc.McConfig(R=1 << 12, M=1024)
-    assert mc.estimate_shared(req, shared, eval_threads=8) == mc.estimate_shared(req, shared)
-    assert pools == []
+        assert pools == pool
 
     # N=18 has 8 batches of rows, so only the cores cap the pool.
     inputs = replace(inputs, N=18)

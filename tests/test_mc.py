@@ -1,4 +1,8 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -32,7 +36,7 @@ from binpaths import (
     with_custom_probs,
 )
 from binpaths import mc
-from binpaths.exact import CHUNK, join_rows
+from binpaths.exact import join_rows
 from binpaths.mc import CHUNK_ROWS, _alias_table, sample_bits, sample_rows
 from binpaths.paths import PathTable, codes_to_bits, fold_bits, path_table, word_widths
 from binpaths.payoffs import join_paths, join_payoff, payoff_batch, suffix_statistic
@@ -85,15 +89,26 @@ def test_per_bit_frequency_within_band():
 
 
 @pytest.mark.parametrize("n", [0, 1, 6, 32, 62])
-def test_sample_bits_are_one_uniform_matrix_compared_with_probs(n):
-    # The bits of one uniform matrix, at counts from one row to 2^16 rows.
+def test_sample_bits_and_sample_path_are_the_codes_sample_rows_draws(n):
+    # sample_bits is the bits of sample_rows' codes, with the word cut of
+    # ordinary moves, at counts from one row to 2^16 rows.
     probs = np.linspace(0.05, 0.95, n)
-    step = CHUNK // max(n, 1)
-    for count in (1, step - 1, step, step + 1, 65536):
+    for count in (1, 2, 4095, 65536):
         got = sample_bits(mc_stream(9, 2, 1), probs, count)
-        want = mc_stream(9, 2, 1).random((count, n)) < probs
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want)
+        codes = sample_rows(mc_stream(9, 2, 1), probs, count, 1.0, 1.0, "codes").codes
+        assert got.dtype == bool and got.shape == (count, n)
+        assert np.array_equal(got, codes_to_bits(codes, n))
+    if n == 0:
+        return
+    # sample_path draws one row of sample_rows with the tree's own moves,
+    # whose words narrow to at most 7 steps at sigma^2 T/N = 100, and reads on.
+    for sigma in (0.3, 10.0 * math.sqrt(n)):
+        inputs = MarketInputs(S0=1.0, K=1.0, q=0.0, sigma=sigma, T=1.0, N=n)
+        params = with_custom_probs(inputs, probs.tolist())
+        rng, twin = mc_stream(5), mc_stream(5)
+        drawn = sample_rows(twin, params.up_probs, 3, params.u, params.d, "codes").codes
+        assert [sample_path(params, rng) for _ in range(3)] == [
+            BernoulliPath(code, n) for code in drawn.tolist()]
 
 
 def test_sample_rows_read_one_raw_value_per_word_through_alias_tables():
@@ -276,6 +291,50 @@ def test_basic_estimate_builds_no_rows_by_steps_float_matrix():
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20, (kind, peak)
+
+
+# glibc sets its mmap and heap-trim thresholds from the blocks a process
+# frees unless a MALLOC_*_ variable (or a malloc tunable) fixes them.
+GLIBC_DYNAMIC_THRESHOLDS = (
+    sys.platform == "linux" and platform.libc_ver()[0] == "glibc"
+    and not any(name.startswith("MALLOC_") for name in os.environ)
+    and "malloc" not in os.environ.get("GLIBC_TUNABLES", "")
+)
+
+
+@pytest.mark.skipif(not GLIBC_DYNAMIC_THRESHOLDS, reason="needs glibc's dynamic malloc thresholds")
+def test_warm_basic_calls_fault_in_no_fresh_pages():
+    # The 4 MB block that importing mc maps and frees lifts glibc's trim
+    # threshold above a warm call's 3.5 MB of transient arrays.  Without it,
+    # whether the heap top is trimmed and faulted back on every call, some
+    # 750 minor faults a call, depends on where one persistent chunk lands:
+    # so each fresh interpreter first holds a different number of bytes.
+    import binpaths
+
+    src = os.path.dirname(os.path.dirname(binpaths.__file__))
+    code = (
+        "import resource, sys\n"
+        "held = bytearray(int(sys.argv[1]))\n"
+        "import binpaths as bp\n"
+        "inputs = bp.MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=32)\n"
+        "cfg = bp.McConfig(R=1 << 16, seed=0)\n"
+        "for kind in (bp.PayoffKind.ASIAN_PUT, bp.PayoffKind.FIXED_LOOKBACK_PUT):\n"
+        "    req = bp.ValuationRequest(inputs=inputs, params=bp.derive_crr(inputs), kind=kind)\n"
+        "    for _ in range(5):\n"
+        "        bp.estimate_basic(req, cfg)\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    for _ in range(20):\n"
+        "        bp.estimate_basic(req, cfg)\n"
+        "    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for held in (0, 1000, 3000):
+        proc = subprocess.run([sys.executable, "-c", code, str(held)], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        faults = [float(x) for x in proc.stdout.split()]
+        assert len(faults) == 2 and max(faults) < 50, (held, faults)
 
 
 def test_basic_estimate_is_deterministic():
