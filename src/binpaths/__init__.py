@@ -7,6 +7,8 @@ partitioned, shared-sample) with variance estimates, plus a
 benchmarking harness and a CLI.
 """
 
+from importlib import import_module
+
 from .errors import (
     EnumerationGuard,
     InfeasibleAllocation,
@@ -46,20 +48,29 @@ from .exact import (
     value_exact_serial,
     value_leaf_formula,
 )
-from .mc import (
-    Estimate,
-    McConfig,
-    RepetitionSummary,
-    allocate_strata,
-    estimate_basic,
-    estimate_partitioned,
-    estimate_partitioned_equal,
-    estimate_shared,
-    mc_stream,
-    run_repetitions,
-    sample_path,
-)
-from .bench import BenchRecord, records_to_csv, records_to_tables, run_bench
+
+# The Monte Carlo and benchmark names load their module on first use
+# (PEP 562), so a leaf or exact call imports neither.
+_LAZY = {
+    **dict.fromkeys(("Estimate", "McConfig", "RepetitionSummary", "allocate_strata",
+                     "estimate_basic", "estimate_partitioned", "estimate_partitioned_equal",
+                     "estimate_shared", "mc_stream", "run_repetitions", "sample_path"), "mc"),
+    **dict.fromkeys(("BenchRecord", "records_to_csv", "records_to_tables", "run_bench"),
+                    "bench"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

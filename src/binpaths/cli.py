@@ -8,7 +8,6 @@ import math
 import sys
 import time
 
-from .bench import records_to_csv, records_to_tables, run_bench
 from .errors import EnumerationGuard, PricingError
 from .exact import (
     ValuationRequest,
@@ -16,14 +15,6 @@ from .exact import (
     usable_cores,
     value_exact_parallel,
     value_leaf_formula,
-)
-from .mc import (
-    McConfig,
-    estimate_basic,
-    estimate_partitioned,
-    estimate_partitioned_equal,
-    estimate_shared,
-    run_repetitions,
 )
 from .model import MarketInputs, derive_crr, with_custom_probs
 from .payoffs import PAYOFF_NAMES, parse_payoff
@@ -33,11 +24,14 @@ MC_METHODS = ("mc", "pmc", "pmc-equal", "smc")
 ENUM_METHODS = ("exact", "exact-serial")
 STUDY_HEADER = "method,M-or-R,mean_estimate,mean_variance_estimate,empirical_variance"
 
+# The estimator of each MC method, by its name in binpaths.mc.  mc and bench
+# are imported by the commands that run them, so a leaf or exact call loads
+# neither.
 _ESTIMATORS = {
-    "mc": estimate_basic,
-    "pmc": estimate_partitioned,
-    "pmc-equal": estimate_partitioned_equal,
-    "smc": estimate_shared,
+    "mc": "estimate_basic",
+    "pmc": "estimate_partitioned",
+    "pmc-equal": "estimate_partitioned_equal",
+    "smc": "estimate_shared",
 }
 # The estimators of each study table, in row order.  mc-convergence sweeps
 # R at M=1; the other tables sweep M at R = --samples.
@@ -183,10 +177,12 @@ def cmd_price(args) -> int:
     elif args.method == "leaf":
         value, variance, r_used, m_used = value_leaf_formula(req), 0.0, 0, 1
     else:
+        from . import mc
+
         m_used = 1 if args.method == "mc" else args.workers
-        cfg = McConfig(R=args.samples, M=m_used, seed=args.seed, reps=args.reps)
+        cfg = mc.McConfig(R=args.samples, M=m_used, seed=args.seed, reps=args.reps)
         kwargs = {} if args.method == "mc" else {"eval_threads": args.eval_threads}
-        summary = run_repetitions(_ESTIMATORS[args.method], req, cfg, **kwargs)
+        summary = mc.run_repetitions(getattr(mc, _ESTIMATORS[args.method]), req, cfg, **kwargs)
         value = summary.mean_value
         variance = summary.mean_variance
         r_used = summary.estimates[0].R_used
@@ -229,12 +225,14 @@ def cmd_study(args) -> int:
     inputs, params = _tree_for(args, args.N)
     kind = parse_payoff(args.payoff)
     req = ValuationRequest(inputs=inputs, params=params, kind=kind)
+    from . import mc
+
     lines = [STUDY_HEADER]
     for sweep in args.R_list if r_sweep else args.M_list:
         R, M = (sweep, 1) if r_sweep else (args.samples, sweep)
-        cfg = McConfig(R=R, M=M, seed=args.seed, reps=args.reps)
+        cfg = mc.McConfig(R=R, M=M, seed=args.seed, reps=args.reps)
         for tag in STUDY_TABLES[args.table]:
-            summary = run_repetitions(_ESTIMATORS[tag], req, cfg)
+            summary = mc.run_repetitions(getattr(mc, _ESTIMATORS[tag]), req, cfg)
             # One repetition cannot estimate a variance: the field stays empty.
             empirical = repr(summary.empirical_variance) if cfg.reps > 1 else ""
             lines.append(
@@ -245,6 +243,8 @@ def cmd_study(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import records_to_csv, records_to_tables, run_bench
+
     if any(m2 <= m1 for m1, m2 in zip(args.M_list, args.M_list[1:])):
         return _usage_error("--M-list must be strictly ascending")
     if len(set(args.N_list)) < len(args.N_list):

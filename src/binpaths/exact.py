@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -170,6 +169,10 @@ def _map_in_order(fn, count: int, threads: int) -> list:
     runs = min(threads, usable_cores(), count)
     if runs <= 1:
         return fn(0, count)
+    # Imported here: concurrent.futures loads logging and queue, which no
+    # inline call needs.
+    from concurrent.futures import ThreadPoolExecutor
+
     bounds = [i * count // runs for i in range(runs + 1)]
     with ThreadPoolExecutor(max_workers=runs) as pool:
         parts = pool.map(quiet_non_finite(fn), bounds[:-1], bounds[1:])

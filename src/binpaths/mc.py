@@ -30,7 +30,9 @@ so no call builds a rows x steps float array.  The memos hold at most
 8 resolved tables (288 KB each) and 8 word tables (160 KB), 3.6 MB in
 all; an alias table is built once per resolved table and not kept.
 The 4 MB block that importing the module maps and frees (see the note
-by CHUNK_ROWS) holds no memory after import.
+by CHUNK_ROWS) holds no memory after import.  binpaths loads this module
+on the first use of one of its names, not with the package, so the
+block is mapped then: still before any MC call draws.
 The stratified estimators work in chunks of consecutive whole strata:
 a stratum opens a new chunk when its first row passes a multiple of
 CHUNK_ROWS (2^13), so each of a chunk's float64 arrays holds about

@@ -438,22 +438,59 @@ def test_bench_note_counts_usable_cores(capsys, monkeypatch):
     assert "those cells run on 1 threads" in err
 
 
-def test_cli_leaves_scipy_unimported():
-    # In a fresh interpreter: this process has scipy loaded by other tests.
+def _run_fresh(code: str, *args: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports binpaths from this tree."""
     import binpaths
 
     src = os.path.dirname(os.path.dirname(binpaths.__file__))
-    code = (
-        "import sys, binpaths, binpaths.cli\n"
-        "assert binpaths.cli.main(['price', '--method', 'leaf', '--payoff', 'euro-call',"
-        " '--S0', '20', '--K', '100', '--q', '0.06', '--sigma', '3', '--T', '1',"
-        " '--N', '60']) == 0\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded\n"
-    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["method"] == "leaf"
+    return proc.stdout
+
+
+def test_cli_leaves_scipy_unimported():
+    # In a fresh interpreter: this process has scipy, mc, bench and the thread
+    # pool loaded by other tests.  A call loads only the engine it runs.
+    code = (
+        "import json, sys, binpaths.cli\n"
+        "desk = ['--S0', '20', '--K', '100', '--q', '0.06', '--sigma', '3', '--T', '1']\n"
+        "watched = {'binpaths.mc', 'binpaths.bench', 'statistics', 'concurrent.futures'}\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert binpaths.cli.main(['price', *argv, *desk]) == 0\n"
+        "    print(json.dumps(sorted(m for m in sys.modules\n"
+        "                            if m.split('.')[0] == 'scipy' or m in watched)))\n"
+    )
+    calls = [
+        ["--method", "leaf", "--payoff", "euro-call", "--N", "60"],
+        ["--method", "exact", "--payoff", "asian-put", "--N", "12"],
+        ["--method", "mc", "--payoff", "asian-put", "--N", "32", "--samples", "4096"],
+    ]
+    lines = _run_fresh(code, json.dumps(calls)).splitlines()
+    assert [json.loads(line)["method"] for line in lines[0::2]] == ["leaf", "exact", "mc"]
+    assert [json.loads(line) for line in lines[1::2]] == [[], [], ["binpaths.mc"]]
+
+
+def test_package_loads_mc_and_bench_on_first_use():
+    code = (
+        "import sys, binpaths\n"
+        "assert not {'binpaths.mc', 'binpaths.bench'} & set(sys.modules)\n"
+        "assert set(binpaths.__all__) <= set(dir(binpaths))\n"
+        "names = {}\n"
+        "exec('from binpaths import *', names)\n"
+        "assert set(binpaths.__all__) <= set(names)\n"
+        "assert all(names[n] is getattr(binpaths, n) for n in binpaths.__all__)\n"
+        "from binpaths import bench, mc\n"
+        "for module, lazy in ((mc, sys.argv[1]), (bench, sys.argv[2])):\n"
+        "    for n in lazy.split(','):\n"
+        "        assert n in binpaths.__all__ and getattr(binpaths, n) is getattr(module, n), n\n"
+        "assert not hasattr(binpaths, 'no_such_name')\n"
+        "print('ok')\n"
+    )
+    mc_names = ("Estimate,McConfig,RepetitionSummary,allocate_strata,estimate_basic,"
+                "estimate_partitioned,estimate_partitioned_equal,estimate_shared,mc_stream,"
+                "run_repetitions,sample_path")
+    bench_names = "BenchRecord,records_to_csv,records_to_tables,run_bench"
+    assert _run_fresh(code, mc_names, bench_names) == "ok\n"

@@ -361,7 +361,7 @@ def test_non_finite_value_is_a_domain_error():
 
 def _record_pools(monkeypatch, pools: list) -> None:
     """Replace the engines' thread pool with one that records its size and runs tasks inline."""
-    from binpaths import exact
+    import concurrent.futures
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -376,7 +376,8 @@ def _record_pools(monkeypatch, pools: list) -> None:
         def map(self, fn, *iterables):
             return list(map(fn, *iterables))
 
-    monkeypatch.setattr(exact, "ThreadPoolExecutor", InlinePool)
+    # exact._map_in_order imports the pool from here when it opens one.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
 
 
 def test_one_usable_core_evaluates_ranks_without_a_pool(monkeypatch):
