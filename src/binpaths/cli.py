@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     price.add_argument("--force-large", action="store_true",
                        help="allow exact enumeration beyond N=28")
     price.add_argument("--eval-threads", type=_count, default=1,
-                       help="threads over pmc and pmc-equal chunks of about 8,192 draws; M=1 "
+                       help="threads over pmc and pmc-equal chunks of about 32,768 draws; M=1 "
                             "and smc run on one; at most one per usable core; no result changes")
     price.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     price.set_defaults(handler=cmd_price)

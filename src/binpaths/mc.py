@@ -30,15 +30,16 @@ so no call builds a rows x steps float array.  The memos hold at most
 8 resolved tables (288 KB each) and 8 word tables (160 KB), 3.6 MB in
 all; an alias table is built once per resolved table and not kept.
 The 4 MB block that importing the module maps and frees (see the note
-by CHUNK_ROWS) holds no memory after import.  binpaths loads this module
-on the first use of one of its names, not with the package, so the
-block is mapped then: still before any MC call draws.
+by its np.empty call) holds no memory after import.  binpaths loads
+this module on the first use of one of its names, not with the
+package, so the block is mapped then: still before any MC call draws.
 The stratified estimators work in chunks of consecutive whole strata:
 a stratum opens a new chunk when its first row passes a multiple of
-CHUNK_ROWS (2^13), so each of a chunk's float64 arrays holds about
-64 KiB.  A chunk costs one sample_rows call, one join and one
-reduction.  When its strata all draw the same count (every chunk of
-the equal allocation), it is evaluated as one (strata, draws) block:
+exact.CHUNK (2^15), the bound of the exact join's batches, so each of a
+chunk's float64 arrays holds about 256 KiB.  A chunk costs one
+sample_rows call, one join and one reduction.  When its strata all
+draw the same count (every chunk of the equal allocation), it is
+evaluated as one (strata, draws) block:
 the prefix states broadcast as a column and each row reduces along its
 axis, with no repeated prefix states and no padded copy.
 The shared estimator sums a built-in payoff by prefix levels: the r
@@ -55,7 +56,7 @@ one contiguous run of whole chunks or batches per thread, at most one
 thread per usable core and per chunk or batch.  Chunk and batch bounds
 depend on the allocation (or M and R) and N alone, so no thread count
 changes a result.  So threads run only where a call has several: the
-stratified estimators past about CHUNK_ROWS draws in all, and the
+stratified estimators past about exact.CHUNK draws in all, and the
 shared estimator with a callable payoff past max(1, exact.CHUNK // R)
 prefix rows.  Every estimator runs on one thread at M = 1, and the
 basic estimator and the level sums always do.
@@ -89,7 +90,7 @@ import numpy as np
 
 from .errors import (InfeasibleAllocation, InvalidInput, InvalidWorkerCount, check_count,
                      quiet_non_finite)
-from .exact import ValuationRequest, _finite, _map_in_order, join_rows
+from .exact import CHUNK, ValuationRequest, _finite, _map_in_order, join_rows
 from .paths import (
     BernoulliPath,
     PathPartition,
@@ -107,10 +108,6 @@ from .paths import (
 )
 from .payoffs import (PayoffKind, join_paths, join_payoff, payoff_batch, read_statistic,
                       suffix_statistic)
-
-# Rows of whole strata in a stratified chunk: 2^13 rows keep each of its
-# float64 arrays near 64 KiB.
-CHUNK_ROWS = 1 << 13
 
 # glibc maps an allocation above its mmap threshold on its own; freeing such
 # a mapping raises the threshold to its size and the heap-top trim threshold
@@ -428,7 +425,7 @@ def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: in
     Stratum m's rows are the alloc[m] rows after the sum(alloc[:m]) rows
     of the strata before it in that one stream.  Strata are evaluated in
     chunks of consecutive whole strata: a stratum opens a new chunk when
-    its first row passes a multiple of CHUNK_ROWS, so the chunks depend
+    its first row passes a multiple of CHUNK, so the chunks depend
     on the allocation alone and threads change no result.  Each thread
     run of chunks (exact._map_in_order) makes one generator of the stream
     and jumps it to its first chunk's first row; a run's chunks hold
@@ -449,7 +446,7 @@ def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: in
     heads = [(name, getattr(prefix, name))
              for name in (("codes",) if statistic == "codes" else {"last", statistic})]
     first_row = np.cumsum(alloc) - alloc
-    starts = np.unique(first_row // CHUNK_ROWS, return_index=True)[1]
+    starts = np.unique(first_row // CHUNK, return_index=True)[1]
     least = np.minimum.reduceat(alloc, starts)
     # Each chunk's strata lo..hi - 1, its rows, and its strata's common draw count or 0.
     chunks = list(zip(starts.tolist(), [*starts[1:].tolist(), cfg.M],

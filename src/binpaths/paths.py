@@ -201,19 +201,23 @@ def path_table(probs: np.ndarray, u: float, d: float, start: float) -> PathTable
     Word c of width j extends to 2c (a down move) and 2c + 1 (an up
     move), so each step costs O(2^j) and the whole build O(2^len(probs)).
     A weight is the product of its step probabilities from step 1 on,
-    the same order of rounding as path_probability.
+    the same order of rounding as path_probability.  Each step writes
+    the rows weight, last, total and low of its words, the even entries
+    (down moves) and then the odd ones, into one of two buffers in turn;
+    the last step writes the full-size one.
     """
-    weight = np.ones(1)
-    last = np.full(1, float(start))
-    total = np.zeros(1)
-    low = np.full(1, np.inf)
-    for p in probs:
-        weight = np.stack((weight * (1.0 - p), weight * p), axis=1).ravel()
-        moved = np.stack((last * d, last * u), axis=1)
-        total = (total[:, None] + moved).ravel()
-        low = np.minimum(low[:, None], moved).ravel()
-        last = moved.ravel()
-    return PathTable(weight, last, total, low, np.arange(last.shape[0]))
+    k = len(probs)
+    buffers = np.empty((4, 1 << k)), np.empty((4, max(1, 1 << k >> 1)))
+    src = np.array([[1.0], [start], [0.0], [np.inf]])
+    for j, p in enumerate(probs, 1):
+        dst = buffers[(k - j) % 2][:, :1 << j]
+        for half, prob, move in ((dst[:, ::2], 1.0 - p, d), (dst[:, 1::2], p, u)):
+            np.multiply(src[0], prob, out=half[0])
+            np.multiply(src[1], move, out=half[1])
+            np.add(src[2], half[1], out=half[2])
+            np.minimum(src[3], half[1], out=half[3])
+        src = dst
+    return PathTable(*src, np.arange(src.shape[1]))
 
 
 # Steps per word of fold_bits and the sampler: a word table has at most 2^12 entries.

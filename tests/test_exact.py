@@ -300,13 +300,14 @@ def test_tracing_hooks_resolve_and_callable_matches_builtin_twin(monkeypatch):
     assert [draws > 0 for _, draws, _ in est.per_stratum] == [False, True] * 4
     assert calls["binpaths.mc.mc_stream"] == 1
     assert calls["binpaths.mc.sample_rows"] == 1
-    # 8 strata of 5,000 draws: their first rows 0, 5,000, ..., 35,000 fall
-    # in five CHUNK_ROWS blocks, so they make five chunks, read in one
-    # thread run from one stream.
+    # 8 strata of 5/8 of exact.CHUNK draws each: their first rows, 0 to 35/8
+    # CHUNK rows in, fall in five blocks of CHUNK rows, so they make five
+    # chunks, read in one thread run from one stream.
     for name in ("binpaths.mc.mc_stream", "binpaths.mc.sample_rows"):
         calls[name] = 0
-    mc.estimate_partitioned_equal(skewed_req, mc.McConfig(R=5000, M=8))
-    assert {b * 5_000 // mc.CHUNK_ROWS for b in range(8)} == {0, 1, 2, 3, 4}
+    R = 5 * exact.CHUNK // 8
+    mc.estimate_partitioned_equal(skewed_req, mc.McConfig(R=R, M=8))
+    assert {b * R // exact.CHUNK for b in range(8)} == {0, 1, 2, 3, 4}
     assert calls["binpaths.mc.mc_stream"] == 1
     assert calls["binpaths.mc.sample_rows"] == 5
     assert calls["binpaths.mc.sample_bits"] == 0
@@ -422,13 +423,13 @@ def test_thread_requests_are_capped_at_the_usable_cores(monkeypatch):
     req = ValuationRequest(inputs=inputs, params=derive_crr(inputs), kind=PayoffKind.ASIAN_PUT)
     parity = replace(req, kind=lambda params, S0, K, path: float(path.code & 1))
     for estimator, cfg, req_, pool in (
-            (mc.estimate_partitioned, mc.McConfig(R=1 << 15, M=1024), req, [2]),
+            (mc.estimate_partitioned, mc.McConfig(R=4 * exact.CHUNK, M=1024), req, [2]),
             (mc.estimate_partitioned_equal, mc.McConfig(R=2048, M=64), req, [2]),
             (mc.estimate_shared, mc.McConfig(R=64, M=1024), parity, [2]),
             (mc.estimate_shared, mc.McConfig(R=1 << 12, M=1024), req, []),
-            (mc.estimate_shared, mc.McConfig(R=1 << 15, M=1), req, []),
-            (mc.estimate_partitioned, mc.McConfig(R=1 << 15, M=1), req, []),
-            (mc.estimate_partitioned_equal, mc.McConfig(R=1 << 15, M=1), req, [])):
+            (mc.estimate_shared, mc.McConfig(R=4 * exact.CHUNK, M=1), req, []),
+            (mc.estimate_partitioned, mc.McConfig(R=4 * exact.CHUNK, M=1), req, []),
+            (mc.estimate_partitioned_equal, mc.McConfig(R=4 * exact.CHUNK, M=1), req, [])):
         pools.clear()
         threaded = estimator(req_, cfg, eval_threads=8)
         assert pools == pool, (estimator.__name__, cfg)

@@ -36,8 +36,8 @@ from binpaths import (
     with_custom_probs,
 )
 from binpaths import mc
-from binpaths.exact import join_rows
-from binpaths.mc import CHUNK_ROWS, _alias_table, sample_bits, sample_rows
+from binpaths.exact import CHUNK, join_rows
+from binpaths.mc import _alias_table, sample_bits, sample_rows
 from binpaths.paths import PathTable, codes_to_bits, fold_bits, path_table, word_widths
 from binpaths.payoffs import join_paths, join_payoff, payoff_batch, suffix_statistic
 
@@ -461,10 +461,10 @@ def test_stratified_rejects_more_strata_than_paths():
 
 @pytest.mark.parametrize("estimator", STRATIFIED)
 def test_single_stratum_beyond_one_chunk_is_bitwise_basic(estimator):
-    # 9,000 draws: more rows than one chunk holds, and a stratum is never
-    # split.
-    cfg = McConfig(R=9000, M=1, seed=8)
-    assert cfg.R > CHUNK_ROWS
+    # 9/8 of a chunk's rows: more than one chunk holds, and a stratum is
+    # never split.
+    cfg = McConfig(R=9 * CHUNK // 8, M=1, seed=8)
+    assert cfg.R > CHUNK
     base = estimate_basic(_desk_req(), cfg)
     est = estimator(_desk_req(), cfg)
     assert (est.value, est.variance, est.R_used) == (base.value, base.variance, base.R_used)
@@ -543,11 +543,11 @@ def test_zero_mass_strata_are_skipped_not_sampled():
     # empty strata after it make a chunk of their own.
     skewed = replace(DESK_PARAMS, up_probs=np.array([0.0, 0.0] + [0.4] * 10))
     req = ValuationRequest(inputs=DESK, params=skewed, kind=PayoffKind.ASIAN_PUT)
-    cfg = McConfig(R=9000, M=4, seed=3)
-    assert cfg.R > CHUNK_ROWS
+    cfg = McConfig(R=9 * CHUNK // 8, M=4, seed=3)
+    assert cfg.R > CHUNK
     est = estimate_partitioned(req, cfg)
     assert [(draws, theta > 0.0) for _, draws, theta in est.per_stratum] == \
-        [(9000, True), (0, False), (0, False), (0, False)]
+        [(cfg.R, True), (0, False), (0, False), (0, False)]
     assert est.value == math.exp(-0.06) * est.per_stratum[0][2]
     assert estimate_partitioned(req, cfg, eval_threads=2) == est
 
@@ -586,11 +586,12 @@ def _code_parity(params, S0, K, path):
 
 @pytest.mark.parametrize("estimator", STRATIFIED)
 def test_eval_threads_do_not_change_results(estimator, monkeypatch):
-    # 24,576 draws fill 3 chunks of strata; 8,192 draws in each of 8
+    # 3 * CHUNK draws fill 3 chunks of strata; CHUNK draws in each of 8
     # strata make 8 chunks at equal allocation.  The shared sample sums a
     # built-in payoff by levels, inline, and joins a callable's 8 prefixes
-    # in 2 batches.
-    cfg = McConfig(R=24576 if estimator is estimate_partitioned else 8192, M=8, seed=13)
+    # with CHUNK // 4 draws in 2 batches.
+    cfg = McConfig(R={estimate_partitioned: 3 * CHUNK, estimate_partitioned_equal: CHUNK,
+                      estimate_shared: CHUNK // 4}[estimator], M=8, seed=13)
     for kind in [*PayoffKind, _code_parity]:
         lone = estimator(_desk_req(kind), cfg, eval_threads=1)
         for threads in (1, 2, 4):
@@ -653,8 +654,8 @@ def test_a_payoff_folds_only_the_statistic_it_reads(kind, folded, monkeypatch):
 
 def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_count(
         monkeypatch):
-    # M=1024 at N=16 leaves 6 sampled steps per draw, and R=49152 rows fill
-    # six chunks (48 draws in each of 1024 strata, too).  p = 1 on step 2
+    # M=1024 at N=16 leaves 6 sampled steps per draw, and R = 6 * CHUNK rows
+    # fill six chunks (192 draws in each of 1024 strata, too).  p = 1 on step 2
     # and p = 0 on step 7 take the mass from three strata in four, in runs
     # of 8 that fall inside chunks.
     inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=16)
@@ -662,17 +663,17 @@ def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_c
     probs[1], probs[6] = 1.0, 0.0
     params = replace(derive_crr(inputs), up_probs=probs)
     req = ValuationRequest(inputs=inputs, params=params, kind=PayoffKind.ASIAN_PUT)
-    cfg = McConfig(R=49152, M=1024, seed=21)
+    cfg = McConfig(R=6 * CHUNK, M=1024, seed=21)
     est = estimate_partitioned(req, cfg)
     draws = [d for _, d, _ in est.per_stratum]
-    assert sum(draws) > 5 * CHUNK_ROWS
+    assert sum(draws) > 5 * CHUNK
     assert [d > 0 for d in draws[248:280]] == ([False] * 8 + [True] * 8) * 2
     assert sum(d > 0 for d in draws) == 256
     for threads in (2, 3, 4):
         assert estimate_partitioned(req, cfg, eval_threads=threads) == est
-    equal = estimate_partitioned_equal(req, McConfig(R=48, M=1024, seed=21))
+    equal = estimate_partitioned_equal(req, McConfig(R=192, M=1024, seed=21))
     for threads in (2, 3, 4):
-        assert estimate_partitioned_equal(req, McConfig(R=48, M=1024, seed=21),
+        assert estimate_partitioned_equal(req, McConfig(R=192, M=1024, seed=21),
                                           eval_threads=threads) == equal
     # With 8 usable cores, 3 to 6 threads split the six chunks into as
     # many runs, uneven ones included.
@@ -680,7 +681,7 @@ def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_c
         patch.setattr("binpaths.exact.usable_cores", lambda: 8)
         for threads in (3, 4, 5, 6):
             assert estimate_partitioned(req, cfg, eval_threads=threads) == est
-            assert estimate_partitioned_equal(req, McConfig(R=48, M=1024, seed=21),
+            assert estimate_partitioned_equal(req, McConfig(R=192, M=1024, seed=21),
                                               eval_threads=threads) == equal
 
     # Stratum m's rows are rows [sum(draws[:m]), sum(draws[:m + 1])) of one
@@ -712,14 +713,14 @@ def test_stratum_chunks_draw_each_stratum_from_its_stream_range_for_any_thread_c
 
 @pytest.mark.parametrize("R", [4096, 1000])
 def test_equal_strata_chunks_match_a_stratum_at_a_time(R, monkeypatch):
-    # 64 strata of R draws at N=16: a chunk holds 2 strata (R=4096) or 8 to
-    # 9 (R=1000), all of one count, so it is one (strata, draws) block.
+    # 64 strata of R draws at N=16: a chunk holds 8 strata (R=4096) or 33 and
+    # 31 (R=1000), all of one count, so it is one (strata, draws) block.
     inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=16)
     params = derive_crr(inputs)
     req = ValuationRequest(inputs=inputs, params=params, kind=PayoffKind.ASIAN_PUT)
     cfg = McConfig(R=R, M=64, seed=29)
     est = estimate_partitioned_equal(req, cfg)
-    chunks = np.unique(np.arange(64) * R // CHUNK_ROWS)
+    chunks = np.unique(np.arange(64) * R // CHUNK)
     assert 1 < len(chunks) <= 32
 
     # Stratum m's rows are rows [m * R, (m + 1) * R) of one sample, folded

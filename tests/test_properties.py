@@ -18,7 +18,9 @@ goes whole to the block where it starts.
 
 fold_bits is checked against the oracle's step-by-step prices on bit
 rows of 0 to 62 steps over CRR trees up to sigma = 80, where a word of
-steps can leave double precision and the words shrink.
+steps can leave double precision and the words shrink.  path_table is
+checked entry by entry against path_probability and the oracle's
+prices, bit for bit, with probabilities 0 and 1 and moves up to e^230.
 
 The stratum allocation is checked for its invariants and, on masses with
 zeros, exact ties and long thin tails up to M = 1024, against the
@@ -68,12 +70,15 @@ from binpaths import (
     with_custom_probs,
 )
 
+from binpaths.exact import CHUNK
 from binpaths.mc import (_allocate, _block_mean_sse, _mean_sse, _segment_mean_sse, mc_stream,
                          sample_rows)
-from binpaths.paths import WORD_REACH, PathTable, codes_to_bits, fold_bits, path_table
+from binpaths.paths import (WORD_REACH, BernoulliPath, PathTable, codes_to_bits, fold_bits,
+                            path_probability, path_table)
 from binpaths.payoffs import join_payoff, suffix_statistic
 
-from oracles import brute_allocate, brute_payoff, brute_prices, brute_value
+from oracles import (brute_allocate, brute_code, brute_payoff, brute_prices, brute_prob,
+                     brute_value)
 
 # Derandomized, so a tier-1 run draws the same examples every time.
 DETERMINISTIC = settings(
@@ -257,6 +262,45 @@ def test_row_summary_matches_step_by_step_prices(case):
                 assert not math.isnan(values[i]), name
 
 
+@st.composite
+def word_tables(draw):
+    """Up to 10 steps with 0 and 1 among the probabilities, moves up to
+    e^230 a step, and start prices from 1e-300 to 1e300."""
+    n = draw(st.integers(1, 10))
+    probs = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                          min_size=n, max_size=n))
+    u = math.exp(draw(st.sampled_from([0.01, 0.3, 1.0]) | st.floats(0.001, 230.0)))
+    d = draw(st.sampled_from([1.0 / u, 1.0]) | st.floats(1e-100, 1.0))
+    start = draw(st.sampled_from([1e-300, 1.0, 20.0, 1e300]))
+    return TreeParams(dt=1.0, u=u, d=d, beta=1.0, up_probs=np.array(probs)), start
+
+
+@DETERMINISTIC
+@given(word_tables())
+@example((TreeParams(dt=1.0, u=WIDE.u, d=WIDE.d, beta=1.0, up_probs=np.array([1.0, 0.0] * 4)),
+          1e-300))
+def test_path_table_entries_are_the_step_by_step_oracle(case):
+    # Entry c of path_table is the word of code c, step 1 its most
+    # significant bit: path_probability's weight and the oracle's prices,
+    # last, sum and minimum, bit for bit, overflow and underflow included.
+    params, start = case
+    n = params.n_steps
+    with np.errstate(over="ignore", under="ignore"):
+        table = path_table(params.up_probs, params.u, params.d, start)
+    assert table.codes.tolist() == list(range(1 << n))
+    for code in range(1 << n):
+        path = BernoulliPath(code, n)
+        bits = list(path.bits())
+        prices = brute_prices(start, params.u, params.d, bits)
+        assert brute_code(bits) == code
+        assert table.weight[code] == path_probability(params, path)
+        assert table.weight[code] == brute_prob(params.up_probs.tolist(), bits)
+        assert (table.last[code], table.total[code], table.low[code]) == \
+            (prices[-1], sum(prices), min(prices))
+    empty = path_table((), params.u, params.d, start)
+    assert [a.tolist() for a in empty] == [[1.0], [start], [0.0], [math.inf], [0]]
+
+
 def test_partition_finer_than_the_row_grid():
     # 2048 ranks, the paper's blocks of 2 paths each, against rows of 4:
     # the engine joins whole rows whatever the worker count, so the
@@ -365,8 +409,9 @@ def stratified_cases(draw):
     kind = draw(st.sampled_from(list(PayoffKind)))
     m = 1 << r
     # R >= 2M leaves some stratum two draws.  The larger draw counts fill
-    # up to five chunks of CHUNK_ROWS rows; the odd jitter moves the offsets.
-    extra = draw(st.sampled_from([0, 100, 1000, 4000, 40000])) + draw(st.integers(0, 63))
+    # up to five chunks of CHUNK rows; the odd jitter moves the offsets.
+    extra = (draw(st.sampled_from([0, 100, 1000, CHUNK // 2, 5 * CHUNK - 960]))
+             + draw(st.integers(0, 63)))
     R = 2 * m + extra
     equal_R = max(2, extra // m)
     return (ValuationRequest(inputs=inputs, params=params, kind=kind), m, R, equal_R,
@@ -406,8 +451,9 @@ def _desk_request(n, probs=None, kind=PayoffKind.ASIAN_PUT):
 @given(stratified_cases())
 # Both estimators run more than one chunk, so on two or more threads a later
 # run jumps its stream past the rows of the runs before it.
-@example((_desk_request(9), 16, 17001, 1001, 5, 1))
-@example((_desk_request(13, kind=PayoffKind.FIXED_LOOKBACK_PUT), 1024, 16383, 13, 7, 0))
+@example((_desk_request(9), 16, 2 * CHUNK + 617, CHUNK // 8 + 9, 5, 1))
+@example((_desk_request(13, kind=PayoffKind.FIXED_LOOKBACK_PUT), 1024, 2 * CHUNK - 1,
+          3 * CHUNK // 2048, 7, 0))
 # M = 2^N: no suffix steps, and p = 0 or 1 leaves three strata in four
 # without mass.
 @example((_desk_request(6, [0.5, 1.0, 0.0, 0.3, 0.7, 0.5]), 64, 128, 2, 1, 2))
