@@ -11,11 +11,16 @@ r-bit prefix (r = log2 of the stratum count M) and an (N-r)-bit suffix.
   stratum, so each draw yields an inner sum over all M prefixes.
 
 Every estimator evaluates its paths with payoffs.join_paths, the
-engines' one join.  One prefix table per call, built from S0 by
-path_table, holds every stratum's mass (its weight) and its state after
-r steps, and the sampled suffix rows, folded for the statistic the
-payoff reads, extend that state to whole paths.  The basic estimator is
-the case r = 0, through payoff_batch.
+engines' one join.  A stratified call reads one StratumPlan: its prefix
+table, built from S0 by path_table, holds every stratum's mass (its
+weight) and its state after r steps, and the sampled suffix rows,
+folded for the statistic the payoff reads, extend that state to whole
+paths.  The plan also holds the draws of each stratum, the chunks and,
+for the shared estimator, the sorted prefix levels.  It is memoised
+(_stratum_plan) by the first r up probabilities, u, d, S0, K, M, R, the
+allocation and the statistic, so a study or run_repetitions builds it
+once per table row; the checks on M and R run on every call.  The
+basic estimator is the case r = 0, through payoff_batch.
 sample_rows is the one sampler: sample_path draws one row of it, and
 sample_bits is the bits of its codes.  It cuts a row into the words of
 paths.word_widths, of at most 12 steps, and draws each word with
@@ -26,9 +31,11 @@ whole output with the bucket's key.  Each output becomes one index into
 the word's memoised resolved table (_word_draws), which holds the code
 and state of the bucket's own word and of its alias, and
 paths.fold_rows folds from those indices the one statistic asked for,
-so no call builds a rows x steps float array.  The memos hold at most
-8 resolved tables (288 KB each) and 8 word tables (160 KB), 3.6 MB in
-all; an alias table is built once per resolved table and not kept.
+so no call builds a rows x steps float array.  The sampler's memos
+hold at most 8 resolved tables (288 KB each) and 8 word tables (160 KB),
+3.6 MB in all; an alias table is built once per resolved table and not
+kept.  The plan memo holds at most 8 plans of about 80 B a stratum and
+1 B a draw of an unequal chunk: 49 to 108 KB at M = 1024.
 The 4 MB block that importing the module maps and frees (see the note
 by its np.empty call) holds no memory after import.  binpaths loads
 this module on the first use of one of its names, not with the
@@ -84,7 +91,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -292,17 +299,68 @@ def sample_path(params, rng: np.random.Generator) -> BernoulliPath:
     return BernoulliPath(int(code), params.n_steps)
 
 
-def _prefix_table(req: ValuationRequest, M: int) -> PathTable:
-    """States of the log2(M)-step prefixes from S0, row m for stratum m.
+class StratumPlan(NamedTuple):
+    """What a stratified call on one tree, M and R reads besides its draws.
 
-    The weights are the stratum masses, bit for bit block_probability's.
+    prefix is the table of the log2(M)-step prefixes from S0, row m for
+    stratum m: its weights are the stratum masses, bit for bit
+    block_probability's.  alloc is every stratum's draw count.  chunks
+    (pmc and pmc-equal) lists each chunk's strata lo..hi - 1, its rows,
+    its strata's common draw count or 0, its first row in the stream,
+    and, when the counts differ, the layout of its runs (_runs).  levels
+    (smc with a built-in payoff and M > 1) holds each prefix level's
+    rows, last price and table (_levels).  Every array is read-only.
     """
-    check_fits("stratum count", M, req.inputs.N)
-    if M & (M - 1) != 0:
-        raise InvalidWorkerCount(f"stratum count must be a power of two, got {M}")
+
+    prefix: PathTable
+    alloc: np.ndarray
+    chunks: tuple = ()
+    levels: tuple = ()
+
+
+def _plan(req: ValuationRequest, cfg: McConfig, allocation: str) -> StratumPlan:
+    """The memoised StratumPlan of a call, after the checks every call runs.
+
+    allocation is "proportional" (R draws by stratum mass), "equal" (R
+    draws a stratum) or "shared" (R draws read by every stratum).
+    """
+    check_fits("stratum count", cfg.M, req.inputs.N)
+    if cfg.M & (cfg.M - 1) != 0:
+        raise InvalidWorkerCount(f"stratum count must be a power of two, got {cfg.M}")
     params = req.params
-    r = M.bit_length() - 1
-    return path_table(params.up_probs[:r], params.u, params.d, req.inputs.S0)
+    head = tuple(params.up_probs[:cfg.M.bit_length() - 1].tolist())
+    return _stratum_plan(head, params.u, params.d, req.inputs.S0, req.inputs.K, cfg.M, cfg.R,
+                         allocation, suffix_statistic(req.kind))
+
+
+@lru_cache(maxsize=8)
+def _stratum_plan(head: tuple, u: float, d: float, S0: float, K: float, M: int, R: int,
+                  allocation: str, statistic: str) -> StratumPlan:
+    """StratumPlan of the prefixes with up probabilities head, keyed by all it may read.
+
+    Memoised: a study or run_repetitions pays this O(M) set-up once per
+    tree, M and R.  _allocate's InfeasibleAllocation is raised, not kept,
+    so an infeasible call raises every time.
+    """
+    prefix = path_table(np.array(head), u, d, S0)
+    alloc = _allocate(prefix.weight, R) if allocation == "proportional" else np.full(M, R)
+    _read_only(*prefix, alloc)
+    if allocation == "shared":
+        builtin = M > 1 and statistic != "codes"
+        return StratumPlan(prefix, alloc, levels=_levels(prefix, statistic, K) if builtin else ())
+    first_row = np.cumsum(alloc) - alloc
+    starts = np.unique(first_row // CHUNK, return_index=True)[1]
+    least = np.minimum.reduceat(alloc, starts)
+    widths = np.where(least == np.maximum.reduceat(alloc, starts), least, 0).tolist()
+    return StratumPlan(prefix, alloc, tuple(
+        (lo, hi, rows, width, int(first_row[lo]), None if width else _runs(alloc[lo:hi]))
+        for lo, hi, rows, width in zip(starts.tolist(), [*starts[1:].tolist(), M],
+                                       np.add.reduceat(alloc, starts).tolist(), widths)))
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def _mean_sse(values: np.ndarray) -> tuple:
@@ -324,8 +382,25 @@ def _block_mean_sse(values: np.ndarray) -> tuple:
     return theta, np.add.reduce(values, axis=1)
 
 
-def _segment_mean_sse(values: np.ndarray, counts: np.ndarray) -> tuple:
-    """_mean_sse of each run of counts[i] consecutive values, as two arrays.
+def _runs(counts: np.ndarray) -> tuple:
+    """(lead, body, reps, divisor): the read-only layout of runs of counts[i] values for _run_mean_sse.
+
+    The runs are laid end to end with a zero in front of each: lead
+    indexes those zeros, body is false there and true on the values,
+    reps = counts + 1 spans each run with its zero, and divisor is
+    max(counts, 1).
+    """
+    reps = counts + 1
+    lead = np.cumsum(reps) - reps
+    body = np.ones(int(reps.sum()), dtype=bool)
+    body[lead] = False
+    layout = lead, body, reps, np.maximum(counts, 1)
+    _read_only(*layout)
+    return layout
+
+
+def _run_mean_sse(values: np.ndarray, runs: tuple) -> tuple:
+    """_mean_sse of each run of consecutive values of a _runs layout, as two arrays.
 
     One segmented reduction, np.add.reduceat, over a copy of the values
     with a zero in front of every run.  reduceat starts a run's sum from
@@ -333,16 +408,19 @@ def _segment_mean_sse(values: np.ndarray, counts: np.ndarray) -> tuple:
     zero, each run adds up exactly as values[a:b].sum() does, so every
     mean and SSE is _mean_sse's, bit for bit.  An empty run gives 0, 0.
     """
-    lead = np.cumsum(counts + 1) - (counts + 1)
-    padded = np.zeros(values.shape[0] + counts.shape[0])
-    body = np.ones(padded.shape[0], dtype=bool)
-    body[lead] = False
+    lead, body, reps, divisor = runs
+    padded = np.zeros(body.shape[0])
     padded[body] = values
-    theta = np.add.reduceat(padded, lead) / np.maximum(counts, 1)
-    dev = np.subtract(padded, np.repeat(theta, counts + 1), out=padded)
+    theta = np.add.reduceat(padded, lead) / divisor
+    dev = np.subtract(padded, np.repeat(theta, reps), out=padded)
     dev *= dev
     dev[lead] = 0.0
     return theta, np.add.reduceat(dev, lead)
+
+
+def _segment_mean_sse(values: np.ndarray, counts: np.ndarray) -> tuple:
+    """_mean_sse of each run of counts[i] consecutive values, as two arrays."""
+    return _run_mean_sse(values, _runs(counts))
 
 
 def _estimate(req: ValuationRequest, cfg: McConfig, theta: float, var_theta: float,
@@ -418,45 +496,38 @@ def _allocate(masses: np.ndarray, R: int) -> np.ndarray:
 
 
 def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: int,
-                prefix: PathTable, alloc: np.ndarray, var_theta: Callable,
-                method: str) -> Estimate:
+                plan: StratumPlan, var_theta: Callable, method: str) -> Estimate:
     """Stratum m joins prefix row m with alloc[m] suffixes from mc_stream(seed, 0, rep).
 
     Stratum m's rows are the alloc[m] rows after the sum(alloc[:m]) rows
     of the strata before it in that one stream.  Strata are evaluated in
-    chunks of consecutive whole strata: a stratum opens a new chunk when
-    its first row passes a multiple of CHUNK, so the chunks depend
-    on the allocation alone and threads change no result.  Each thread
-    run of chunks (exact._map_in_order) makes one generator of the stream
-    and jumps it to its first chunk's first row; a run's chunks hold
-    consecutive rows, so each later chunk reads on with no jump.
+    the plan's chunks of consecutive whole strata: a stratum opens a new
+    chunk when its first row passes a multiple of CHUNK, so the chunks
+    depend on the allocation alone and threads change no result.  Each
+    thread run of chunks (exact._map_in_order) makes one generator of the
+    stream and jumps it to its first chunk's first row; a run's chunks
+    hold consecutive rows, so each later chunk reads on with no jump.
     A chunk costs one sample_rows call, one join_paths call and one
     reduction.  When its strata all draw the same count, it is one
     (strata, draws) block: the prefix states broadcast as columns and
     each row reduces along its axis (_block_mean_sse).  Otherwise they
-    are repeated once per draw and _segment_mean_sse reduces the runs.
+    are repeated once per draw and _run_mean_sse reduces the runs.
     A built-in payoff is joined in place into the folded statistic.
     var_theta maps the squared-deviation sums to the variance of the
     combined estimate on the theta scale.
     """
     params, S0, K = req.params, req.inputs.S0, req.inputs.K
+    prefix, alloc, chunks = plan.prefix, plan.alloc, plan.chunks
     probs = params.up_probs[cfg.M.bit_length() - 1:]
     statistic = suffix_statistic(req.kind)
     # The prefix fields the join reads: a callable reads the codes alone.
     heads = [(name, getattr(prefix, name))
              for name in (("codes",) if statistic == "codes" else {"last", statistic})]
-    first_row = np.cumsum(alloc) - alloc
-    starts = np.unique(first_row // CHUNK, return_index=True)[1]
-    least = np.minimum.reduceat(alloc, starts)
-    # Each chunk's strata lo..hi - 1, its rows, and its strata's common draw count or 0.
-    chunks = list(zip(starts.tolist(), [*starts[1:].tolist(), cfg.M],
-                      np.add.reduceat(alloc, starts).tolist(),
-                      np.where(least == np.maximum.reduceat(alloc, starts), least, 0).tolist()))
 
     def run(first: int, end: int) -> list:
         rng, out = mc_stream(cfg.seed, 0, rep), []
-        skip = int(first_row[chunks[first][0]])
-        for lo, hi, rows, width in chunks[first:end]:
+        skip = chunks[first][4]
+        for lo, hi, rows, width, _, runs in chunks[first:end]:
             stat = getattr(sample_rows(rng, probs, rows, params.u, params.d, statistic, skip),
                            statistic)
             skip = 0
@@ -467,8 +538,7 @@ def _stratified(req: ValuationRequest, cfg: McConfig, rep: int, eval_threads: in
                 head = PathTable(**{name: np.repeat(a[lo:hi], alloc[lo:hi]) for name, a in heads})
             values = join_paths(req.kind, params, S0, K, head, PathTable(**{statistic: stat}),
                                 probs.shape[0], stat)
-            out.append(_block_mean_sse(values) if width
-                       else _segment_mean_sse(values, alloc[lo:hi]))
+            out.append(_block_mean_sse(values) if width else _run_mean_sse(values, runs))
         return out
 
     per = _map_in_order(run, len(chunks), eval_threads)
@@ -491,15 +561,14 @@ def estimate_partitioned(req: ValuationRequest, cfg: McConfig, rep: int = 0,
         raise InfeasibleAllocation(
             f"partitioned estimator needs R >= M, got R={cfg.R}, M={cfg.M}"
         )
-    prefix = _prefix_table(req, cfg.M)
-    alloc = _allocate(prefix.weight, cfg.R)
+    plan = _plan(req, cfg, "proportional")
     # At M = 2^N a draw is its stratum's whole path and value.
-    if alloc.max() < 2 and cfg.M < 1 << req.inputs.N:
+    if plan.alloc.max() < 2 and cfg.M < 1 << req.inputs.N:
         raise InvalidInput(
             f"partitioned estimator needs a stratum with two draws to estimate "
             f"a variance, got R={cfg.R} over M={cfg.M} strata"
         )
-    return _stratified(req, cfg, rep, eval_threads, prefix, alloc,
+    return _stratified(req, cfg, rep, eval_threads, plan,
                        lambda sses: float(np.sum(sses)) / (cfg.R * cfg.R),
                        "partitioned")
 
@@ -520,9 +589,9 @@ def estimate_partitioned_equal(req: ValuationRequest, cfg: McConfig, rep: int = 
     """
     if cfg.R < 2:
         raise InvalidInput(f"partitioned-equal estimator needs R >= 2, got {cfg.R}")
-    prefix = _prefix_table(req, cfg.M)
-    w = prefix.weight
-    return _stratified(req, cfg, rep, eval_threads, prefix, np.full(cfg.M, cfg.R),
+    plan = _plan(req, cfg, "equal")
+    w = plan.prefix.weight
+    return _stratified(req, cfg, rep, eval_threads, plan,
                        lambda sses: float(np.sum(w * w * sses / (cfg.R * cfg.R))),
                        "partitioned-equal")
 
@@ -543,12 +612,13 @@ def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
     if cfg.R < 2:
         raise InvalidInput(f"shared estimator needs R >= 2, got {cfg.R}")
     params = req.params
-    prefix = _prefix_table(req, cfg.M)
+    plan = _plan(req, cfg, "shared")
+    prefix = plan.prefix
     probs = params.up_probs[cfg.M.bit_length() - 1:]
     suffix = sample_rows(mc_stream(cfg.seed, 0, rep), probs, cfg.R, params.u, params.d,
                          suffix_statistic(req.kind))
     if cfg.M > 1 and isinstance(req.kind, PayoffKind):
-        inner, means = _level_sums(req, prefix, suffix)
+        inner, means = _level_sums(req, prefix, suffix, plan.levels)
     else:
         def weigh(lo: int, hi: int, values: np.ndarray) -> tuple:
             means = values.mean(axis=1)
@@ -559,20 +629,43 @@ def estimate_shared(req: ValuationRequest, cfg: McConfig, rep: int = 0,
         inner = reduce(np.add, (inner for inner, _ in batches))
         means = np.concatenate([m for _, m in batches])
     theta, sse = _mean_sse(inner)
-    return _estimate(req, cfg, theta, sse / (cfg.R * cfg.R), cfg.R, "shared",
-                     np.full(cfg.M, cfg.R), means)
+    return _estimate(req, cfg, theta, sse / (cfg.R * cfg.R), cfg.R, "shared", plan.alloc, means)
+
+
+def _levels(prefix: PathTable, statistic: str, K: float) -> tuple:
+    """(rows, e, table) of each prefix level, for _level_sums; every array read-only.
+
+    The prefixes of one level (paths.level_groups) share their last
+    price e.  table is the level's total weight for a euro payoff, and
+    its prefixes sorted by their statistic (paths.sorted_table) with
+    running sums of weight and weight * total for asian-put, or of
+    weight and weight * max(K - low, 0) for lookback-put.
+    """
+    levels = []
+    for rows in level_groups(prefix.weight.shape[0].bit_length() - 1):
+        w = prefix.weight[rows]
+        if statistic == "last":
+            table = np.sum(w)
+        else:
+            key = getattr(prefix, statistic)[rows]
+            table = sorted_table(key, w, key if statistic == "total" else np.maximum(K - key, 0.0))
+            _read_only(*table)
+        _read_only(rows)
+        levels.append((rows, prefix.last[rows[0]], table))
+    return tuple(levels)
 
 
 @np.errstate(divide="ignore")
-def _level_sums(req: ValuationRequest, prefix: PathTable, suffix: PathTable) -> tuple:
+def _level_sums(req: ValuationRequest, prefix: PathTable, suffix: PathTable,
+                levels: Optional[tuple] = None) -> tuple:
     """The R inner sums and the M per-stratum means of estimate_shared, by prefix levels.
 
-    The prefixes of one level (paths.level_groups) share their last
-    price e, so a euro payoff is one row of R payoffs per level.  For
-    asian-put and lookback-put, prefix m's payoff with draw j is K minus
-    a price that takes the prefix's statistic on one side of a kink and
-    the draw's on the other.  Each level's prefixes sorted by their
-    statistic (paths.sorted_table) sum every draw's side of the kink
+    The prefixes of one level share their last price e, so a euro
+    payoff is one row of R payoffs per level.  For asian-put and
+    lookback-put, prefix m's payoff with draw j is K minus a price that
+    takes the prefix's statistic on one side of a kink and the draw's
+    on the other.  Each level's prefixes sorted by their statistic
+    (_levels, the plan's when given) sum every draw's side of the kink
     with one binary search: asian-put pays when the prefix price sum
     T_m < N*K - e*total_j, and lookback-put reads the prefix minimum
     low_m when it is below e*low_j.  The per-stratum means are the same
@@ -582,33 +675,33 @@ def _level_sums(req: ValuationRequest, prefix: PathTable, suffix: PathTable) -> 
     keeps each level's searches in ascending order.
     """
     kind, K, n = req.kind, req.inputs.K, req.inputs.N
+    statistic = suffix_statistic(kind)
+    if levels is None:
+        levels = _levels(prefix, statistic, K)
     draws = sorted_table(read_statistic(kind, suffix))
     stat, R = draws.key, draws.key.shape[0]
-    e_all, statistic = prefix.last, suffix_statistic(kind)
+    e_all = prefix.last
     inner, means = np.zeros(R), np.empty(e_all.shape[0])
     if statistic == "total":
         # Descending totals give ascending bounds.
         stat = stat[::-1]
-    for rows in level_groups(e_all.shape[0].bit_length() - 1):
-        e, w = e_all[rows[0]], prefix.weight[rows]
+    for rows, e, table in levels:
         if statistic == "last":
             values = join_payoff(kind, K, n, PathTable(last=e), PathTable(last=stat))
-            inner += np.sum(w) * values
+            inner += table * values
             means[rows] = values.mean()
         elif statistic == "total":
             # w * (N*K - T - e*total_j) summed over T < N*K - e*total_j: N times
             # the payoffs.  A bound below 0 counts no T, and 0 keeps it finite.
-            total, bound = prefix.total[rows], np.maximum(n * K - e * stat, 0.0)
-            paid, moment = sorted_table(total, w, total).below(bound)
+            bound = np.maximum(n * K - e * stat, 0.0)
+            paid, moment = table.below(bound)
             inner += bound * paid - moment
         else:
-            low = prefix.low[rows]
-            group = sorted_table(low, w, np.maximum(K - low, 0.0))
             floor = e * stat
-            below, moment = group.below(floor)
+            below, moment = table.below(floor)
             # fmax: an empty suffix's low is +inf, and a prefix price that
             # underflowed to 0 makes floor NaN, where the prefix minimum holds.
-            inner += moment + (group.weight[-1] - below) * np.fmax(K - floor, 0.0)
+            inner += moment + (table.weight[-1] - below) * np.fmax(K - floor, 0.0)
     # A draw count of 0 adds 0, where e may be inf.  fmax sends a bound
     # that is NaN (inf / inf or 0 / 0) to 0, which counts no draws.
     if statistic == "total":

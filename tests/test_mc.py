@@ -976,3 +976,88 @@ def test_shared_requires_two_draws():
     for R, M in ((1, 1), (4, 4)):
         with pytest.raises(InvalidInput):
             estimate_partitioned(_desk_req(), McConfig(R=R, M=M, seed=0))
+
+
+def _clone(params, S0, K, path):
+    return float(max(K - asset_path(params, S0, path).mean(), 0.0))
+
+
+# pmc at 3 * CHUNK draws and pmc-equal at CHUNK // 16 a stratum fill several
+# chunks, so two threads run two runs; a callable draws fewer, in one chunk.
+PLAN_CASES = [(estimator, kind, R)
+              for kind in [*PayoffKind, _clone]
+              for estimator, R in zip(STRATIFIED, (3 * CHUNK, CHUNK // 16, 4096)
+                                      if kind is not _clone else (512, 32, 256))]
+
+
+@pytest.mark.parametrize("estimator, kind, R", PLAN_CASES,
+                         ids=[f"{e.__name__}-{getattr(k, 'value', 'callable')}"
+                              for e, k, _ in PLAN_CASES])
+def test_warm_and_cold_stratum_plans_give_equal_estimates(estimator, kind, R):
+    req = _desk_req(kind)
+    for threads in (1, 2):
+        for seed in (4, 5):
+            cfg = McConfig(R=R, M=64, seed=seed)
+            mc._stratum_plan.cache_clear()
+            cold = estimator(req, cfg, eval_threads=threads)
+            warm = estimator(req, cfg, eval_threads=threads)
+            assert mc._stratum_plan.cache_info().hits == 1
+            assert warm == cold
+
+
+def test_stratum_plan_arrays_refuse_writes():
+    # pmc at M=1024 over 4 * CHUNK draws gives its strata unequal counts,
+    # and smc builds level tables for each built-in statistic.
+    plans = [mc._plan(_desk_req(kind), McConfig(R=R, M=M), allocation)
+             for kind, R, M, allocation in (
+                 (PayoffKind.ASIAN_PUT, 4 * CHUNK, 1024, "proportional"),
+                 (PayoffKind.ASIAN_PUT, 64, 64, "equal"),
+                 (PayoffKind.EUROPEAN_PUT, 64, 64, "shared"),
+                 (PayoffKind.ASIAN_PUT, 64, 64, "shared"),
+                 (PayoffKind.FIXED_LOOKBACK_PUT, 64, 64, "shared"))]
+    assert any(not width for _, _, _, width, _, _ in plans[0].chunks)
+    arrays = []
+    for plan in plans:
+        arrays += [*plan.prefix, plan.alloc]
+        arrays += [a for *_, runs in plan.chunks if runs for a in runs]
+        for rows, _, table in plan.levels:
+            arrays += [rows, *(table if isinstance(table, tuple) else ())]
+    assert len(arrays) > 60
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
+@pytest.mark.parametrize("estimator", STRATIFIED)
+def test_trees_that_differ_share_no_stratum_plan(estimator):
+    inputs = replace(DESK, K=90.0)
+    probs = DESK_PARAMS.up_probs.copy()
+    probs[2] = 0.3
+    base = ValuationRequest(inputs=inputs, params=DESK_PARAMS,
+                            kind=PayoffKind.FIXED_LOOKBACK_PUT)
+    others = [
+        (replace(base, inputs=replace(inputs, S0=21.0)), 4096),
+        (replace(base, inputs=replace(inputs, K=110.0)), 4096),
+        (replace(base, params=replace(DESK_PARAMS, up_probs=probs)), 4096),
+        (base, 4000),
+    ]
+    for req, R in others:
+        cfg = McConfig(R=R, M=8, seed=6)
+        mc._stratum_plan.cache_clear()
+        cold = estimator(req, cfg)
+        mc._stratum_plan.cache_clear()
+        estimator(base, McConfig(R=4096, M=8, seed=6))
+        assert estimator(req, cfg) == cold
+        assert mc._stratum_plan.cache_info().misses == 2
+
+
+def test_rejected_calls_raise_again_on_a_warm_plan():
+    for _ in range(2):
+        with pytest.raises(InfeasibleAllocation):
+            estimate_partitioned(_desk_req(), McConfig(R=2, M=4, seed=0))
+        # Four strata of one draw each: no variance to estimate.
+        with pytest.raises(InvalidInput, match="two draws"):
+            estimate_partitioned(_desk_req(), McConfig(R=4, M=4, seed=0))
+        for estimator in STRATIFIED:
+            with pytest.raises(InvalidWorkerCount):
+                estimator(_desk_req(), McConfig(R=64, M=3, seed=0))
