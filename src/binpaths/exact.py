@@ -25,7 +25,12 @@ same weights.
 A prefix row, one prefix and all of its suffixes, is the one unit of
 reduction.  join_rows, the batched join that the shared-sample Monte
 Carlo estimator uses too (for callables and M = 1), returns one partial
-per row.  Either route
+per row: the prefix weight times one contraction of the row's payoffs
+with the suffix weights (np.einsum, one pass over the batch).  Not @ or
+np.dot: they call BLAS gemv, whose summation order depends on the
+library build and whose own threads would run inside the pool.  An
+asian-put path so costs four passes: three in the join, one in the
+contraction.  Either route
 sums its terms once with math.fsum, which is exactly rounded and so
 independent of their order, and discounts once.
 
@@ -219,8 +224,7 @@ def value_exact_parallel(req: ValuationRequest) -> float:
     suffix = path_table(params.up_probs[k:], params.u, params.d, 1.0)
 
     def row_partials(lo: int, hi: int, values: np.ndarray) -> np.ndarray:
-        inner = np.sum(np.multiply(values, suffix.weight, out=values), axis=1)
-        return prefix.weight[lo:hi] * inner
+        return prefix.weight[lo:hi] * np.einsum("ij,j->i", values, suffix.weight)
 
     partials = np.concatenate(join_rows(req, prefix, suffix, row_partials, m))
     assert partials.size * suffix.weight.size == 1 << n, "path accounting mismatch"

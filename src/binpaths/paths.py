@@ -56,7 +56,7 @@ class BernoulliPath:
             raise InvalidInput(f"path length must be between 1 and 62, got {self.n}")
         if not 0 <= self.code < (1 << self.n):
             raise InvalidInput(
-                f"code {self.code} is outside [0, 2^{self.n}) for an {self.n}-step path"
+                f"code {self.code} is outside [0, 2^{self.n}) for a path of {self.n} steps"
             )
 
     def bits(self) -> tuple:
@@ -125,7 +125,8 @@ def make_partition(n: int, m: int) -> PathPartition:
 def check_fits(name: str, count: int, n: int) -> None:
     """InvalidWorkerCount when count ranks or strata outnumber the 2^n paths of n steps."""
     if count > 1 << n:
-        raise InvalidWorkerCount(f"{name} {count} exceeds the {1 << n} paths of an {n}-step tree")
+        raise InvalidWorkerCount(
+            f"{name} {count} exceeds the {1 << n} paths of a tree of {n} steps")
 
 
 def _check_rank(partition: PathPartition, rank: int) -> None:

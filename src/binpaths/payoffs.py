@@ -104,8 +104,12 @@ def join_payoff(kind: PayoffKind, K: float, n: int, prefix: PathTable,
     against a suffix table give entry (i, j) for prefix row i and suffix
     j, and equal-length 1-D states join path by path.  Each entry takes a
     few multiplies and adds, and each kind forms only the statistic it
-    reads.  The result is built in place, in `out` when given: the exact
-    engine passes one buffer per rank, so its batches allocate nothing.
+    reads.  Terms of the prefix alone are formed once per prefix column,
+    so asian-put, K - (T + e*t)/N as headroom K - T/N less slope e/N
+    times t, makes three passes over the paths (slope times t, headroom
+    less that, floor at 0).  The result is built in place, in `out` when
+    given: the exact engine passes one buffer per thread run, so its
+    batches allocate nothing.
     """
     e = prefix.last
     if kind is PayoffKind.EUROPEAN_CALL:
@@ -115,10 +119,8 @@ def join_payoff(kind: PayoffKind, K: float, n: int, prefix: PathTable,
         v = np.multiply(e, suffix.last, out=out)
         np.subtract(K, v, out=v)
     elif kind is PayoffKind.ASIAN_PUT:
-        v = np.multiply(e, suffix.total, out=out)
-        v += prefix.total
-        v /= n
-        np.subtract(K, v, out=v)
+        v = np.multiply(e / n, suffix.total, out=out)
+        np.subtract(K - prefix.total / n, v, out=v)
     elif kind is PayoffKind.FIXED_LOOKBACK_PUT:
         # fmin: an empty suffix has low = +inf, and a prefix price that
         # underflowed to 0 turns it into NaN, which fmin skips.

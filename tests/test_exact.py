@@ -407,6 +407,20 @@ def test_one_usable_core_evaluates_ranks_without_a_pool(monkeypatch):
     assert pools == [4]
 
 
+def test_benchmark_cell_is_the_same_on_one_two_and_four_workers(monkeypatch):
+    # asian-put at N=22, the exact-enum benchmark cell: 2^10 prefix rows
+    # against 2^12 suffix columns in 128 batches of 8 rows.  Two and four
+    # real threads take runs of 64 and 32 batches and give the one-worker
+    # bits.
+    from binpaths import exact
+
+    monkeypatch.setattr(exact, "usable_cores", lambda: 4)
+    inputs = MarketInputs(S0=20.0, K=100.0, q=0.06, sigma=3.0, T=1.0, N=22)
+    req = ValuationRequest(inputs=inputs, params=derive_crr(inputs), kind=PayoffKind.ASIAN_PUT)
+    one = value_exact_parallel(req)
+    assert [value_exact_parallel(replace(req, workers=m)) for m in (2, 4)] == [one, one]
+
+
 def test_thread_requests_are_capped_at_the_usable_cores(monkeypatch):
     # Every engine sizes its pool in _map_in_order: eight threads asked of
     # two usable cores give a pool of two, whose runs, here called inline,

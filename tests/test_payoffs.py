@@ -99,7 +99,7 @@ def test_join_payoff_fills_the_given_buffer():
     reference = {
         PayoffKind.EUROPEAN_CALL: np.maximum(e * suffix.last - 10.0, 0.0),
         PayoffKind.EUROPEAN_PUT: np.maximum(10.0 - e * suffix.last, 0.0),
-        PayoffKind.ASIAN_PUT: np.maximum(10.0 - (prefix.total[:, None] + e * suffix.total) / 8,
+        PayoffKind.ASIAN_PUT: np.maximum((10.0 - prefix.total[:, None] / 8) - e / 8 * suffix.total,
                                          0.0),
         PayoffKind.FIXED_LOOKBACK_PUT: np.maximum(
             10.0 - np.fmin(prefix.low[:, None], e * suffix.low), 0.0),

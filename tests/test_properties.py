@@ -12,9 +12,10 @@ count from 1 to 9, and against itself on one worker, bit for bit: its
 prefix rows are fixed by N, so the worker count must not move the
 value.  For N <= 10 a row is one path (an empty suffix table); the
 explicit examples pin M = 2^N, round-robin deals and, at N = 16, rows
-of 2^6 paths.  A partition finer than the row grid (N > 10 with
-M > 1024, or a round-robin M > 64) gives the same bits too: each row
-goes whole to the block where it starts.
+of 2^6 paths, and asian-put at N = 11 to 14 joins rows of 2 to 16
+paths, to 1e-13 relative.  A partition finer than the row grid (N > 10
+with M > 1024, or a round-robin M > 64) gives the same bits too: each
+row goes whole to the block where it starts.
 
 fold_bits is checked against the oracle's step-by-step prices on bit
 rows of 0 to 62 steps over CRR trees up to sigma = 80, where a word of
@@ -148,8 +149,8 @@ def test_inputs_give_a_finite_tree_or_a_domain_error(case):
 
 
 @st.composite
-def valuations(draw):
-    n = draw(st.integers(1, 12))
+def valuations(draw, steps=st.integers(1, 12), kinds=st.sampled_from(PayoffKind)):
+    n = draw(steps)
     inputs = MarketInputs(
         S0=draw(st.floats(0.5, 50.0)),
         K=draw(st.floats(0.0, 60.0)),
@@ -169,7 +170,7 @@ def valuations(draw):
     workers = st.integers(1, min(9, 1 << n))
     if n <= 8:
         workers |= st.just(1 << n)
-    kind = draw(st.sampled_from(PayoffKind))
+    kind = draw(kinds)
     return ValuationRequest(inputs=inputs, params=params, kind=kind,
                             workers=draw(workers))
 
@@ -194,6 +195,17 @@ def _request(n, workers, kind, probs=None, sigma=0.8):
 def test_exact_engine_matches_brute_force(req):
     got = value_exact_parallel(req)
     assert got == pytest.approx(_brute(req), rel=1e-12, abs=1e-13)
+    assert got == value_exact_parallel(replace(req, workers=1))
+
+
+@DETERMINISTIC
+@given(valuations(st.integers(11, 14), st.just(PayoffKind.ASIAN_PUT)))
+def test_asian_put_rows_of_many_columns_match_brute_force(req):
+    # N = 11 to 14 keeps exact.ROW_BITS = 10 prefix steps, so every prefix
+    # row joins 2 to 16 suffix columns: the join's per-row prefix terms and
+    # the row contraction act on rows of more than one path.
+    got = value_exact_parallel(req)
+    assert got == pytest.approx(_brute(req), rel=1e-13, abs=1e-13)
     assert got == value_exact_parallel(replace(req, workers=1))
 
 
